@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .arith import rational_from_str, rational_to_str
 
@@ -266,7 +267,18 @@ def vandermonde() -> Polynomial:
 
 
 def vandermonde_power(p: int) -> Polynomial:
-    return vandermonde() ** p
+    """Delta^p as the product of the binomial expansions of (x_i - x_j)^p."""
+    if not isinstance(p, int) or p < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = Polynomial.constant(1)
+    for i, j in TRANSPOSITIONS:
+        terms = {}
+        for k in range(p + 1):
+            exp = [0, 0, 0]
+            exp[i - 1], exp[j - 1] = p - k, k
+            terms[tuple(exp)] = (-1) ** k * comb(p, k)
+        result = result * Polynomial(terms)
+    return result
 
 
 # --- plain-text format ----------------------------------------------------

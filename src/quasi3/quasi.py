@@ -2,7 +2,9 @@
 
 A polynomial P is m-quasiinvariant when, for every transposition s_ij,
 the difference (1 - s_ij) P is divisible by (x_i - x_j)^(2m+1).
-Divisibility is decided by exact synthetic division, never numerically.
+Divisibility is decided exactly by a Taylor shift: substituting
+x_i = x_j + t, (x_i - x_j)^p divides a polynomial when its coefficients
+of t^0 .. t^(p-1) vanish.
 
 The module also provides the degree-d slice of the m-quasiinvariant ring
 (graded_qi_basis), membership in the part of the slice generated by the
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .arith import binom
 from .linsys import nullspace_vectors, rank
@@ -26,85 +29,42 @@ from .poly import (
 )
 
 
-def _split_by_power(P: Polynomial, var: int):
-    """Group terms by the exponent of x_var, stripping that exponent."""
-    by_power = {}
-    pos = var - 1
-    for exp, coeff in P.terms.items():
-        stripped = list(exp)
-        a = stripped[pos]
-        stripped[pos] = 0
-        by_power.setdefault(a, {})[tuple(stripped)] = coeff
-    return by_power
+def taylor_coefficients(P: Polynomial, i: int, j: int, count: int):
+    """Coefficients c_0 .. c_(count-1) of P expanded in t = x_i - x_j.
 
-
-def divmod_linear(P: Polynomial, i: int, j: int):
-    """Quotient and remainder of P divided by (x_i - x_j).
-
-    The divisor is monic of degree 1 in x_i, so this is synthetic
-    division with root x_j; the remainder is P with x_i replaced by x_j
-    and carries no x_i.
+    Substituting x_i = x_j + t writes P = sum_r c_r (x_i - x_j)^r with
+    every c_r free of x_i, so (x_i - x_j)^p divides P exactly when
+    c_0 .. c_(p-1) all vanish.  Each term expands by the binomial
+    theorem; no polynomial products are formed.
     """
     if i == j or i not in (1, 2, 3) or j not in (1, 2, 3):
         raise ValueError("need two distinct variable indices in 1..3")
-    by_power = _split_by_power(P, i)
-    if not by_power:
-        return Polynomial.zero(), Polynomial.zero()
-    top = max(by_power)
-    xi = Polynomial.variable(i)
-    xj = Polynomial.variable(j)
-    coeffs = {a: Polynomial(terms) for a, terms in by_power.items()}
-    zero = Polynomial.zero()
-    quotient = Polynomial.zero()
-    acc = zero
-    for a in range(top, 0, -1):
-        acc = coeffs.get(a, zero) + xj * acc
-        quotient = quotient + acc * xi ** (a - 1)
-    remainder = coeffs.get(0, zero) + xj * acc
-    return quotient, remainder
-
-
-def remainder_tower(P: Polynomial, i: int, j: int, p: int):
-    """The p stage remainders of successive division by (x_i - x_j).
-
-    P = q (x_i - x_j)^p + sum_t r_t (x_i - x_j)^(t-1) with each r_t free
-    of x_i; P is divisible by (x_i - x_j)^p exactly when all r_t vanish.
-    Returns (list of r_t, final quotient q).
-    """
-    if p < 0:
-        raise ValueError("power must be nonnegative")
-    remainders = []
-    q = P
-    for _ in range(p):
-        q, r = divmod_linear(q, i, j)
-        remainders.append(r)
-    return remainders, q
-
-
-def divisible_power(P: Polynomial, i: int, j: int, p: int) -> bool:
-    """True when (x_i - x_j)^p divides P exactly."""
-    q = P
-    for _ in range(p):
-        if q.is_zero():
-            return True
-        q, r = divmod_linear(q, i, j)
-        if not r.is_zero():
-            return False
-    return True
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    # integer numerators over one common denominator: Fraction sums are slow
+    den = lcm(*(c.denominator for c in P.terms.values()))
+    coeffs = [{} for _ in range(count)]
+    for exp, coeff in P.terms.items():
+        a = exp[i - 1]
+        num = coeff.numerator * (den // coeff.denominator)
+        shifted = list(exp)
+        shifted[i - 1] = 0
+        b = exp[j - 1]
+        for r in range(min(a, count - 1) + 1):
+            # x_i^a = sum_r binom(a, r) x_j^(a-r) t^r
+            shifted[j - 1] = b + a - r
+            key = tuple(shifted)
+            coeffs[r][key] = coeffs[r].get(key, 0) + num * binom(a, r)
+    return [Polynomial({k: Fraction(v, den) for k, v in c.items()}) for c in coeffs]
 
 
 def largest_dividing_power(P: Polynomial, i: int, j: int):
     """Largest p with (x_i - x_j)^p | P, or None when P is zero."""
     if P.is_zero():
         return None
-    power = 0
-    q = P
-    while True:
-        # q stays nonzero: a zero quotient forces a nonzero remainder here
-        q, r = divmod_linear(q, i, j)
-        if not r.is_zero():
-            return power
-        power += 1
+    # c_r for r = deg_{x_i} P is the leading x_i coefficient, never zero
+    coeffs = taylor_coefficients(P, i, j, P.var_degree(i) + 1)
+    return next(r for r, c in enumerate(coeffs) if not c.is_zero())
 
 
 @dataclass(frozen=True)
@@ -214,11 +174,11 @@ def monomials_of_degree(d: int):
 def graded_qi_basis(m: int, d: int):
     """Basis of the degree-d slice of the m-quasiinvariant ring.
 
-    Assembles the linear constraints "every stage remainder of
-    (1 - s_ij) P under division by (x_i - x_j) up to stage 2m+1
-    vanishes" over the degree-d monomial coefficients, and returns the
-    null space as polynomials, each scaled so its first nonzero
-    coefficient in canonical monomial order is 1.
+    Assembles the linear constraints "the coefficients of t^0 .. t^(2m)
+    in (1 - s_ij) P with x_i = x_j + t vanish" over the degree-d
+    monomial coefficients, and returns the null space as polynomials,
+    each scaled so its first nonzero coefficient in canonical monomial
+    order is 1.
     """
     if m < 0 or d < 0:
         raise ValueError("m and d must be nonnegative")
@@ -230,8 +190,8 @@ def graded_qi_basis(m: int, d: int):
         for mono, pos in index.items():
             P = Polynomial.monomial(mono)
             diff = P - P.apply_perm(perm)
-            remainders, _ = remainder_tower(diff, i, j, min(need, d + 1))
-            for stage, r in enumerate(remainders):
+            coeffs = taylor_coefficients(diff, i, j, min(need, d + 1))
+            for stage, r in enumerate(coeffs):
                 for exp, coeff in r.terms.items():
                     key = ((i, j), stage, exp)
                     row = row_map.setdefault(key, [Fraction(0)] * len(monos))

@@ -153,6 +153,13 @@ def test_vandermonde():
     assert vandermonde_power(0) == Polynomial.constant(1)
 
 
+def test_vandermonde_power_matches_repeated_products():
+    for p in range(9):
+        assert vandermonde_power(p) == vandermonde() ** p
+    with pytest.raises(ValueError):
+        vandermonde_power(-1)
+
+
 def test_parse_format_round_trip():
     rng = random.Random(99)
     for _ in range(30):

@@ -7,8 +7,6 @@ from quasi3.poly import Polynomial, elementary, parse_poly, vandermonde_power
 from quasi3.quasi import (
     COINVARIANT_BASIS,
     coinvariant_nf,
-    divisible_power,
-    divmod_linear,
     graded_qi_basis,
     in_ideal_part,
     independent_modulo_ideal,
@@ -17,7 +15,7 @@ from quasi3.quasi import (
     monomials_of_degree,
     qi_dimension_series,
     quotient_degrees,
-    remainder_tower,
+    taylor_coefficients,
 )
 
 x1 = Polynomial.variable(1)
@@ -33,41 +31,49 @@ def random_poly(rng, max_terms=6, max_exp=5):
     return Polynomial(terms)
 
 
-def test_divmod_linear_is_exact():
-    # P = q * (x_i - x_j) + r with r free of x_i
+PAIRS = ((1, 2), (1, 3), (2, 3))
+
+
+def test_taylor_coefficients_reconstruct_exactly():
+    # P = sum_r c_r (x_i - x_j)^r with every c_r free of x_i
     rng = random.Random(0)
     for _ in range(25):
         p = random_poly(rng)
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            q, r = divmod_linear(p, i, j)
-            assert q * (Polynomial.variable(i) - Polynomial.variable(j)) + r == p
-            assert r.var_degree(i) == 0
+        for i, j in PAIRS:
+            coeffs = taylor_coefficients(p, i, j, p.var_degree(i) + 1)
+            t = Polynomial.variable(i) - Polynomial.variable(j)
+            assert sum((c * t**r for r, c in enumerate(coeffs)), Polynomial.zero()) == p
+            assert all(c.var_degree(i) == 0 for c in coeffs)
 
 
-def test_divmod_linear_simple():
-    q, r = divmod_linear(x1**2 - x2**2, 1, 2)
-    assert q == x1 + x2
-    assert r.is_zero()
-    q, r = divmod_linear(x1**2, 1, 2)
-    assert q == x1 + x2
-    assert r == x2**2
+def test_taylor_coefficients_simple():
+    # with t = x1 - x2: x1^2 - x2^2 = 2 x2 t + t^2 and x1^2 = x2^2 + 2 x2 t + t^2
+    assert taylor_coefficients(x1**2 - x2**2, 1, 2, 3) == [0, 2 * x2, 1]
+    assert taylor_coefficients(x1**2, 1, 2, 3) == [x2**2, 2 * x2, 1]
+    with pytest.raises(ValueError):
+        taylor_coefficients(x1, 1, 1, 1)
 
 
-def test_remainder_tower_length_and_reconstruction():
+def test_taylor_coefficients_count():
+    # (x1 - x2)^3 (x1 + x3) = (x2 + x3) t^3 + t^4 with t = x1 - x2
     p = (x1 - x2) ** 3 * (x1 + x3)
-    remainders, q = remainder_tower(p, 1, 2, 5)
-    assert len(remainders) == 5
-    # divisible by (x1 - x2)^3 exactly; the quotient x1 + x3 leaves
-    # remainder x2 + x3 and then the constant quotient 1 stays nonzero
-    assert [r.is_zero() for r in remainders] == [True, True, True, False, False]
-    assert q.is_zero()
+    coeffs = taylor_coefficients(p, 1, 2, 6)
+    assert [c.is_zero() for c in coeffs] == [True, True, True, False, False, True]
+    assert coeffs[3] == x2 + x3
+    assert coeffs[4] == 1
+    assert taylor_coefficients(p, 1, 2, 2) == [0, 0]
+    assert taylor_coefficients(p, 1, 2, 0) == []
 
 
-def test_divisible_power():
+def test_largest_dividing_power():
+    # the base does not vanish at x_i = x_j for any pair, so the power is k
+    base = x1 + 2 * x2 + 4 * x3 + 1
+    for i, j in PAIRS:
+        t = Polynomial.variable(i) - Polynomial.variable(j)
+        for k in range(6):
+            assert largest_dividing_power(base * t**k, i, j) == k
+            assert largest_dividing_power(base * t**k, j, i) == k
     p = (x1 - x3) ** 4 * (x2 + 1)
-    assert divisible_power(p, 1, 3, 4)
-    assert divisible_power(p, 1, 3, 3)
-    assert not divisible_power(p, 1, 3, 5)
     assert largest_dividing_power(p, 1, 3) == 4
     assert largest_dividing_power(p, 1, 2) == 0
     assert largest_dividing_power(Polynomial.zero(), 1, 2) is None
