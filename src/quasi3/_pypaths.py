@@ -1,8 +1,4 @@
-"""Pure-Python lattice path kernels.
-
-Same algorithms as the compiled _speedups twin.  This version is slower
-but has no coordinate-size limits; it is the fallback when the extension
-is not built (or QUASI3_PURE is set) and the reference in benchmarks.
+"""Lattice path counting kernels, in pure Python with no size limits.
 
 Paths take unit NORTH (+y) and WEST (-x) steps.  A barrier L forbids
 every vertex with x + y == L.  Families pair starts[t] with ends[t] and

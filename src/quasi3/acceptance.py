@@ -90,12 +90,12 @@ def criterion_1() -> CriterionResult:
             (2, 3, 1): parse_poly(GOLDEN_A1_M2),
             (2, 3, 2): parse_poly(GOLDEN_A2_M2),
         }
-        got = {
-            (1, 3, 1): basis.build_A1(1),
-            (1, 3, 2): basis.build_A2(1),
-            (2, 3, 1): basis.build_A1(2),
-            (2, 3, 2): basis.build_A2(2),
-        }
+        got = {}
+        for m in (1, 2):
+            _, A1, _, A2, _, _ = (
+                e.poly for e in basis.build_basis(m, verify="degrees").elements
+            )
+            got[(m, 3, 1)], got[(m, 3, 2)] = A1, A2
         bad = [k for k in want if want[k] != got[k]]
         return not bad, f"mismatches: {bad}" if bad else "4 polynomials exact"
 
@@ -178,8 +178,9 @@ def criterion_6() -> CriterionResult:
     """Quotient independence certificates for m=1 and m=0."""
 
     def check():
-        A1 = basis.build_A1(1)
-        A2 = basis.build_A2(1)
+        _, A1, _, A2, _, _ = (
+            e.poly for e in basis.build_basis(1, verify="degrees").elements
+        )
         if not quasi.independent_modulo_ideal([A1, A1.apply_perm(S12)], 1):
             return False, "degree 4 pair dependent modulo ideal part"
         if not quasi.independent_modulo_ideal([A2, A2.apply_perm(S12)], 1):

@@ -69,15 +69,6 @@ def assemble_ansatz(d: int, labels, vec) -> Polynomial:
     return out
 
 
-def build_A1(m: int) -> Polynomial:
-    """The degree 3m+1 quasiinvariant, normalized to leading coefficient 1."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    d = 3 * m + 1
-    labels, vec = ansatz_coefficients(m, d)
-    return assemble_ansatz(d, labels, vec)
-
-
 def is_scalar_multiple(P: Polynomial, Q: Polynomial) -> bool:
     """True when P == c Q for some rational c (including c == 0)."""
     if P.is_zero():
@@ -89,21 +80,6 @@ def is_scalar_multiple(P: Polynomial, Q: Polynomial) -> bool:
     exp = next(iter(Q.terms))
     c = P.terms[exp] / Q.terms[exp]
     return all(P.terms[e] == c * Q.terms[e] for e in Q.terms)
-
-
-def build_A2(m: int) -> Polynomial:
-    """The degree 3m+2 quasiinvariant; checked against degenerating."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    d = 3 * m + 2
-    labels, vec = ansatz_coefficients(m, d)
-    A2 = assemble_ansatz(d, labels, vec)
-    e1A1 = elementary(1) * build_A1(m)
-    if is_scalar_multiple(A2, e1A1):
-        raise DegenerateSystemError(
-            f"A2 for m={m} is a scalar multiple of e1*A1"
-        )
-    return A2
 
 
 @dataclass(frozen=True)

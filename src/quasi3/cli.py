@@ -155,11 +155,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        P = _read_poly_file(args.poly)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    P = _read_poly_file(args.poly)
     report = quasi.is_quasiinvariant(P, args.m)
     if args.format == "json":
         _print_json(_quasi_report_obj(report))
@@ -180,11 +176,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_system(args) -> int:
-    try:
-        sys_ = linsys.build_system(args.m, args.d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    sys_ = linsys.build_system(args.m, args.d)
     shown = linsys.restrict_Bm(sys_) if args.restrict_bm else sys_
     obj = shown.to_json_obj()
     if args.blocks:
@@ -209,11 +201,7 @@ def cmd_system(args) -> int:
 
 
 def cmd_blocks(args) -> int:
-    try:
-        blocks = linsys.extract_blocks(args.m, args.d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    blocks = linsys.extract_blocks(args.m, args.d)
     dets = [linsys.det_exact(b) for b in blocks.all_blocks()]
     if args.format == "json":
         _print_json(
@@ -237,13 +225,8 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_det(args) -> int:
-    try:
-        sys_ = linsys.build_system(args.m, args.d)
-        sub = linsys.restrict_Bm(sys_)
-        blocks = linsys.extract_blocks(args.m, args.d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    sub = linsys.restrict_Bm(linsys.build_system(args.m, args.d))
+    blocks = linsys.extract_blocks(args.m, args.d)
     det = linsys.det_exact(sub.entries)
     block_dets = [linsys.det_exact(b) for b in blocks.all_blocks()]
     product = Fraction(1)
@@ -302,35 +285,27 @@ def _parse_point(text):
 
 
 def cmd_paths(args) -> int:
-    if args.paths_command == "count":
-        try:
-            problem = paths.PathProblem(
-                start=_parse_point(args.start),
-                end=_parse_point(args.end),
-                barrier=args.barrier,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE
-        count = paths.count_paths_dp(problem)
-        if args.format == "json":
-            _print_json(
-                {
-                    "start": list(problem.start),
-                    "end": list(problem.end),
-                    "barrier": problem.barrier,
-                    "count": str(count),
-                    "backend": paths.backend(),
-                }
-            )
-        else:
-            where = f" avoiding x+y={problem.barrier}" if problem.barrier is not None else ""
-            print(
-                f"paths {problem.start} -> {problem.end}{where}: {count}"
-            )
-        return OK
-    print("error: unknown paths subcommand", file=sys.stderr)
-    return USAGE
+    problem = paths.PathProblem(
+        start=_parse_point(args.start),
+        end=_parse_point(args.end),
+        barrier=args.barrier,
+    )
+    count = paths.count_paths_dp(problem)
+    if args.format == "json":
+        _print_json(
+            {
+                "start": list(problem.start),
+                "end": list(problem.end),
+                "barrier": problem.barrier,
+                "count": str(count),
+            }
+        )
+    else:
+        where = f" avoiding x+y={problem.barrier}" if problem.barrier is not None else ""
+        print(
+            f"paths {problem.start} -> {problem.end}{where}: {count}"
+        )
+    return OK
 
 
 def _thm2_report_obj(report):
@@ -380,12 +355,7 @@ def _parse_params(text, count, label):
 
 def cmd_identity(args) -> int:
     if args.identity_command == "thm1":
-        try:
-            C, D, E, alpha, beta, k = _parse_params(args.params, 6, "thm1")
-            report = paths.verify_thm1(C, D, E, alpha, beta, k)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE
+        report = paths.verify_thm1(*_parse_params(args.params, 6, "thm1"))
         if args.format == "json":
             _print_json(_thm1_report_obj(report))
         else:
@@ -394,12 +364,7 @@ def cmd_identity(args) -> int:
             return MATH_FAIL
         return OK
     if args.identity_command == "thm2":
-        try:
-            a, b, c, d, e, n = _parse_params(args.params, 6, "thm2")
-            report = paths.verify_thm2(a, b, c, d, e, n)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE
+        report = paths.verify_thm2(*_parse_params(args.params, 6, "thm2"))
         if args.format == "json":
             _print_json(_thm2_report_obj(report))
         else:
@@ -407,45 +372,42 @@ def cmd_identity(args) -> int:
         if report.checked and not report.equal:
             return MATH_FAIL
         return OK
-    if args.identity_command == "sweep":
-        rng = random.Random(args.seed)
-        results = []
-        failed = 0
-        unchecked = 0
-        params_list = paths.sample_thm1_instances(rng, args.trials)
-        for params in params_list:
-            report = paths.verify_thm1(*params)
-            entry = _thm1_report_obj(report)
-            entry["kind"] = "thm1"
-            results.append(entry)
-            if not report.checked:
-                unchecked += 1
-            elif not report.equal:
-                failed += 1
-        grid = list(paths.thm2_grid(coord_bound=8, nmax=2))
-        step = max(1, len(grid) // args.trials)
-        for inst in grid[:: step][: args.trials]:
-            report = paths.verify_thm2(*inst)
-            entry = _thm2_report_obj(report)
-            entry["kind"] = "thm2"
-            results.append(entry)
-            if not report.checked:
-                unchecked += 1
-            elif not report.equal:
-                failed += 1
-        _print_json(
-            {
-                "seed": args.seed,
-                "trials": args.trials,
-                "instances": len(results),
-                "failed": failed,
-                "unchecked": unchecked,
-                "results": results,
-            }
-        )
-        return MATH_FAIL if failed else OK
-    print("error: unknown identity subcommand", file=sys.stderr)
-    return USAGE
+    rng = random.Random(args.seed)
+    results = []
+    failed = 0
+    unchecked = 0
+    params_list = paths.sample_thm1_instances(rng, args.trials)
+    for params in params_list:
+        report = paths.verify_thm1(*params)
+        entry = _thm1_report_obj(report)
+        entry["kind"] = "thm1"
+        results.append(entry)
+        if not report.checked:
+            unchecked += 1
+        elif not report.equal:
+            failed += 1
+    grid = list(paths.thm2_grid(coord_bound=8, nmax=2))
+    step = max(1, len(grid) // args.trials)
+    for inst in grid[:: step][: args.trials]:
+        report = paths.verify_thm2(*inst)
+        entry = _thm2_report_obj(report)
+        entry["kind"] = "thm2"
+        results.append(entry)
+        if not report.checked:
+            unchecked += 1
+        elif not report.equal:
+            failed += 1
+    _print_json(
+        {
+            "seed": args.seed,
+            "trials": args.trials,
+            "instances": len(results),
+            "failed": failed,
+            "unchecked": unchecked,
+            "results": results,
+        }
+    )
+    return MATH_FAIL if failed else OK
 
 
 def cmd_identities(args) -> int:

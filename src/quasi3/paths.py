@@ -19,35 +19,20 @@ verify_thm1 checks det[ binom(C+ai, E+bj) - binom(D-ai, E+bj) ] against
 prefactor * family count, where the family is the thm2 instance obtained
 by the substitution recorded in thm1_inner_params.
 
-The heavy kernels live in _speedups (compiled) with _pypaths as the
-pure-Python twin; set QUASI3_PURE=1 to force the fallback.
+The counting kernels live in _pypaths.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import _pypaths
-from ._pypaths import BudgetExceeded
+from ._pypaths import BudgetExceeded, dp_count, family_count
 from .arith import binom
 from .linsys import det_exact
 
-if os.environ.get("QUASI3_PURE"):
-    _fast = None
-else:
-    try:
-        from . import _speedups as _fast
-    except ImportError:
-        _fast = None
-
 DEFAULT_BUDGET = 10**7
-
-
-def backend() -> str:
-    """Which kernel implementation is active: 'compiled' or 'pure-python'."""
-    return "compiled" if _fast is not None else "pure-python"
 
 
 def enumeration_budget() -> int:
@@ -114,16 +99,10 @@ class FamilyProblem:
         object.__setattr__(self, "ends", ends)
 
 
-def _dp(x0, y0, x1, y1, barrier):
-    if _fast is not None and max(x0, y1) <= _fast.DP_COORD_LIMIT:
-        return _fast.dp_count(x0, y0, x1, y1, barrier)
-    return _pypaths.dp_count(x0, y0, x1, y1, barrier)
-
-
 def count_paths_dp(problem: PathProblem) -> int:
     """Exact barrier-avoiding path count by dynamic programming."""
     (x0, y0), (x1, y1) = problem.start, problem.end
-    return _dp(x0, y0, x1, y1, problem.barrier)
+    return dp_count(x0, y0, x1, y1, problem.barrier)
 
 
 def count_paths_free(problem: PathProblem) -> int:
@@ -161,15 +140,7 @@ def count_families_bruteforce(problem: FamilyProblem, budget=None) -> int:
     """
     if budget is None:
         budget = enumeration_budget()
-    starts, ends, barrier = problem.starts, problem.ends, problem.barrier
-    use_fast = (
-        _fast is not None
-        and len(starts) <= _fast.K_LIMIT
-        and budget <= 2**62
-        and all(max(p) <= _fast.GRID_LIMIT for p in starts + ends)
-    )
-    kernel = _fast if use_fast else _pypaths
-    return kernel.family_count(starts, ends, barrier, budget)
+    return family_count(problem.starts, problem.ends, problem.barrier, budget)
 
 
 # --- determinant identity: diagonal starts, axis ends ----------------------
@@ -209,10 +180,36 @@ class Thm2Report:
     ends: tuple
     barrier: int
     applicable: bool
-    family_count: object  # int, or None when unchecked
-    checked: bool
-    equal: object  # bool, or None when unchecked
+    family_count: object = None  # int, or None when unchecked
+    checked: bool = False
+    equal: object = None  # bool, or None when unchecked
     note: str = ""
+
+
+def _count_family(report, factor, budget):
+    """Count the report's path family and record the outcome.
+
+    Unusable endpoints or an exceeded budget leave the report unchecked
+    with a note saying why; otherwise det is compared with factor * count.
+    """
+    try:
+        problem = FamilyProblem(
+            starts=report.starts, ends=report.ends, barrier=report.barrier
+        )
+    except ValueError as exc:
+        return replace(
+            report, applicable=False, note=f"family endpoints unusable: {exc}"
+        )
+    try:
+        count = count_families_bruteforce(problem, budget=budget)
+    except BudgetExceeded as exc:
+        return replace(report, note=str(exc))
+    return replace(
+        report,
+        family_count=count,
+        checked=True,
+        equal=(report.det == factor * count),
+    )
 
 
 def verify_thm2(a, b, c, d, e, n, budget=None) -> Thm2Report:
@@ -223,54 +220,17 @@ def verify_thm2(a, b, c, d, e, n, budget=None) -> Thm2Report:
         tuple(count_paths_formula(a, b, c, d, e, i, j) for j in range(1, n + 1))
         for i in range(1, n + 1)
     )
-    det = int(det_exact(entries))
     starts, ends, L = thm2_endpoints(a, b, c, d, e, n)
-    params = {"a": a, "b": b, "c": c, "d": d, "e": e, "n": n}
-    applicable = thm2_instance_applicable(a, b, c, d, e, n)
-    try:
-        problem = FamilyProblem(starts=starts, ends=ends, barrier=L)
-    except ValueError as exc:
-        return Thm2Report(
-            params=params,
-            entries=entries,
-            det=det,
-            starts=starts,
-            ends=ends,
-            barrier=L,
-            applicable=False,
-            family_count=None,
-            checked=False,
-            equal=None,
-            note=f"family endpoints unusable: {exc}",
-        )
-    try:
-        count = count_families_bruteforce(problem, budget=budget)
-    except BudgetExceeded as exc:
-        return Thm2Report(
-            params=params,
-            entries=entries,
-            det=det,
-            starts=starts,
-            ends=ends,
-            barrier=L,
-            applicable=applicable,
-            family_count=None,
-            checked=False,
-            equal=None,
-            note=str(exc),
-        )
-    return Thm2Report(
-        params=params,
+    report = Thm2Report(
+        params={"a": a, "b": b, "c": c, "d": d, "e": e, "n": n},
         entries=entries,
-        det=det,
+        det=int(det_exact(entries)),
         starts=starts,
         ends=ends,
         barrier=L,
-        applicable=applicable,
-        family_count=count,
-        checked=True,
-        equal=(det == count),
+        applicable=thm2_instance_applicable(a, b, c, d, e, n),
     )
+    return _count_family(report, 1, budget)
 
 
 # --- determinant identity: prefactor times family count --------------------
@@ -329,9 +289,9 @@ class Thm1Report:
     ends: tuple
     barrier: int
     applicable: bool
-    family_count: object
-    checked: bool
-    equal: object
+    family_count: object = None
+    checked: bool = False
+    equal: object = None
     note: str = ""
 
 
@@ -347,83 +307,30 @@ def verify_thm1(C, D, E, alpha, beta, k, budget=None) -> Thm1Report:
         for i in range(1, k + 1)
     )
     det = int(det_exact(entries))
-    params = {"C": C, "D": D, "E": E, "alpha": alpha, "beta": beta, "k": k}
     starts, ends, L = thm1_endpoints(C, D, E, alpha, beta, k)
-    inner = thm1_inner_params(C, D, E, alpha, beta, k)
 
     denominator = 1
     numerator = 1
     for t in range(1, k + 1):
         numerator *= binom(C + D, E + t * beta)
         denominator *= binom(C + D, C + t * alpha)
-    if denominator == 0:
-        return Thm1Report(
-            params=params,
-            entries=entries,
-            det=det,
-            prefactor=None,
-            inner_params=inner,
-            starts=starts,
-            ends=ends,
-            barrier=L,
-            applicable=False,
-            family_count=None,
-            checked=False,
-            equal=None,
-            note="prefactor denominator vanishes",
-        )
-    prefactor = Fraction(numerator, denominator)
-    applicable = thm1_applicable(C, D, E, alpha, beta, k)
-    try:
-        problem = FamilyProblem(starts=starts, ends=ends, barrier=L)
-    except ValueError as exc:
-        return Thm1Report(
-            params=params,
-            entries=entries,
-            det=det,
-            prefactor=prefactor,
-            inner_params=inner,
-            starts=starts,
-            ends=ends,
-            barrier=L,
-            applicable=False,
-            family_count=None,
-            checked=False,
-            equal=None,
-            note=f"family endpoints unusable: {exc}",
-        )
-    try:
-        count = count_families_bruteforce(problem, budget=budget)
-    except BudgetExceeded as exc:
-        return Thm1Report(
-            params=params,
-            entries=entries,
-            det=det,
-            prefactor=prefactor,
-            inner_params=inner,
-            starts=starts,
-            ends=ends,
-            barrier=L,
-            applicable=applicable,
-            family_count=None,
-            checked=False,
-            equal=None,
-            note=str(exc),
-        )
-    return Thm1Report(
-        params=params,
+    prefactor = Fraction(numerator, denominator) if denominator else None
+    report = Thm1Report(
+        params={"C": C, "D": D, "E": E, "alpha": alpha, "beta": beta, "k": k},
         entries=entries,
         det=det,
         prefactor=prefactor,
-        inner_params=inner,
+        inner_params=thm1_inner_params(C, D, E, alpha, beta, k),
         starts=starts,
         ends=ends,
         barrier=L,
-        applicable=applicable,
-        family_count=count,
-        checked=True,
-        equal=(det == prefactor * count),
+        applicable=(
+            prefactor is not None and thm1_applicable(C, D, E, alpha, beta, k)
+        ),
     )
+    if prefactor is None:
+        return replace(report, note="prefactor denominator vanishes")
+    return _count_family(report, prefactor, budget)
 
 
 # --- block-derived instances ------------------------------------------------
@@ -473,7 +380,7 @@ def thm2_grid(coord_bound: int = 12, nmax: int = 3, product_cap: int = 200000):
                             starts, ends, _ = thm2_endpoints(a, b, c, d, e, n)
                             product = 1
                             for (sx, sy), (ex, ey) in zip(starts, ends):
-                                product *= _dp(sx, sy, ex, ey, L)
+                                product *= dp_count(sx, sy, ex, ey, L)
                             if product > product_cap:
                                 continue
                             yield (a, b, c, d, e, n)
@@ -502,7 +409,7 @@ def sample_thm1_instances(rng, count: int, coord_bound: int = 12):
             continue
         product = 1
         for (sx, sy), (ex, ey) in zip(starts, ends):
-            product *= _dp(sx, sy, ex, ey, L)
+            product *= dp_count(sx, sy, ex, ey, L)
         if product > 200000:
             continue
         out.append((C, D, E, alpha, beta, k))

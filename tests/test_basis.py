@@ -7,8 +7,6 @@ from quasi3.basis import (
     BasisReport,
     ansatz_coefficients,
     assemble_ansatz,
-    build_A1,
-    build_A2,
     build_basis,
     is_scalar_multiple,
     poly_to_latex,
@@ -21,21 +19,27 @@ GOLDEN_A1_M1 = "x1^4 - 2*x1^3*x2 - 2*x1^3*x3 + 6*x1^2*x2*x3"
 GOLDEN_A2_M1 = "x1^5 - 5/3*x1^4*x2 - 5/3*x1^4*x3 + 10/3*x1^3*x2*x3"
 
 
+def built(m):
+    """The six element polynomials of build_basis(m), by name."""
+    return {e.name: e.poly for e in build_basis(m, verify="degrees").elements}
+
+
 def test_element_names_order():
     assert ELEMENT_NAMES == ("1", "A1", "s12(A1)", "A2", "s12(A2)", "Delta^(2m+1)")
 
 
 def test_build_A1_m1_golden():
-    assert build_A1(1) == parse_poly(GOLDEN_A1_M1)
+    assert built(1)["A1"] == parse_poly(GOLDEN_A1_M1)
 
 
 def test_build_A2_m1_golden():
-    assert build_A2(1) == parse_poly(GOLDEN_A2_M1)
+    assert built(1)["A2"] == parse_poly(GOLDEN_A2_M1)
 
 
 def test_build_A1_m0_is_x1():
-    assert build_A1(0) == Polynomial.variable(1)
-    assert build_A2(0) == Polynomial.variable(1) ** 2
+    by_name = built(0)
+    assert by_name["A1"] == Polynomial.variable(1)
+    assert by_name["A2"] == Polynomial.variable(1) ** 2
 
 
 def test_ansatz_coefficients_golden_m1():
@@ -56,8 +60,9 @@ def test_assemble_ansatz_matches_labels():
 def test_ansatz_exponent_shape():
     # every term is x1^(d-i-j) x2^a x3^b with a, b <= m and a + b = i + j
     for m in (1, 2, 3):
-        for build, d in ((build_A1, 3 * m + 1), (build_A2, 3 * m + 2)):
-            P = build(m)
+        by_name = built(m)
+        for name, d in (("A1", 3 * m + 1), ("A2", 3 * m + 2)):
+            P = by_name[name]
             for (e1, e2, e3), _ in P.sorted_terms():
                 assert e1 + e2 + e3 == d
                 assert e2 <= m and e3 <= m
@@ -75,7 +80,8 @@ def test_is_scalar_multiple():
 
 def test_A2_is_not_a_multiple_of_e1_A1():
     for m in (0, 1, 2, 3):
-        A1, A2 = build_A1(m), build_A2(m)
+        by_name = built(m)
+        A1, A2 = by_name["A1"], by_name["A2"]
         prod = elementary(1) * A1
         assert not is_scalar_multiple(A2, prod)
         # and the structural reason: e1*A1 carries an x2 power above m
@@ -86,7 +92,7 @@ def test_A2_is_not_a_multiple_of_e1_A1():
 
 def test_pair_spans_two_dimensions():
     for m in (1, 2):
-        A1 = build_A1(m)
+        A1 = built(m)["A1"]
         B1 = A1.apply_perm(S12)
         exps = sorted(set(A1.terms) | set(B1.terms))
         rows = [
@@ -167,7 +173,7 @@ def test_latex_m1_golden():
 
 def test_latex_m2_groups_header():
     # m = 2 ansatz opens with the pure power and the grouped pair terms
-    text = poly_to_latex(build_A1(2))
+    text = poly_to_latex(built(2)["A1"])
     assert text.startswith("x_1^7 - ")
     assert "(x_2 + x_3)" in text
     assert "(x_2x_3)" in text

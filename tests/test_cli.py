@@ -1,9 +1,13 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quasi3
 from quasi3.cli import main
 from quasi3.poly import Polynomial, parse_poly
 
@@ -147,13 +151,6 @@ def test_paths_count_golden(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["count"] == "15"
-    assert obj["backend"] in ("compiled", "pure-python")
-
-
-def test_paths_count_bad_point_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "paths", "count", "--start", "2", "--end", "0,6")
-    assert code == 2
-    assert "error" in err
 
 
 def test_identity_thm1_golden(capsys):
@@ -195,12 +192,6 @@ def test_identity_thm2_inapplicable_mismatch_exits_one(capsys):
     assert obj["equal"] is False
 
 
-def test_identity_bad_params_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "identity", "thm1", "--params", "1,2,3")
-    assert code == 2
-    assert "needs 6" in err
-
-
 def test_identity_sweep_deterministic(capsys):
     code, first, _ = run_cli(capsys, "identity", "sweep", "--seed", "3", "--trials", "3")
     assert code == 0
@@ -232,6 +223,71 @@ def test_selftest_subset(capsys):
     assert len(lines) == 2
     assert all(l.startswith("[PASS] criterion") for l in lines)
     assert "2/2 criteria passed" in out
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        pytest.param(
+            ("paths", "count", "--start", "2", "--end", "0,6"), {},
+            "point must be X,Y", id="paths-bad-point",
+        ),
+        pytest.param(
+            ("identity", "thm1", "--params", "1,2,3"), {},
+            "needs 6", id="thm1-short-params",
+        ),
+        pytest.param(
+            ("identity", "thm2", "--params", "1,2,3"), {},
+            "needs 6", id="thm2-short-params",
+        ),
+        pytest.param(
+            ("check", "--m", "1", "--poly", "/nonexistent/poly.txt"), {},
+            "cannot read polynomial file", id="check-missing-poly",
+        ),
+        pytest.param(
+            ("det", "--m", "0", "--d", "1"), {},
+            "requires m >= 1", id="det-m0",
+        ),
+        pytest.param(
+            ("blocks", "--m", "0", "--d", "1"), {},
+            "require m >= 1", id="blocks-m0",
+        ),
+        pytest.param(
+            ("system", "--m", "2", "--d", "5"), {},
+            "degree must be 7 or 8", id="system-bad-degree",
+        ),
+        pytest.param(
+            ("identity", "thm2", "--params", "4,1,1,1,6,2"), {"QUASI3_BUDGET": "0"},
+            "QUASI3_BUDGET must be positive", id="thm2-zero-budget",
+        ),
+    ],
+)
+def test_usage_error_exits_2(capsys, monkeypatch, argv, env, message):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert message in err
+
+
+def test_module_runs_as_a_process():
+    env = dict(os.environ, PYTHONPATH=str(Path(quasi3.__file__).resolve().parents[1]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "quasi3.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    ok = run("det", "--m", "1", "--d", "4", "--format", "json")
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["agree"] is True
+    bad = run("det", "--m", "0", "--d", "1")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error:")
 
 
 def test_console_script_installed():

@@ -28,12 +28,6 @@ from quasi3.paths import (
     verify_thm2,
 )
 
-try:
-    from quasi3 import _speedups
-except ImportError:
-    _speedups = None
-
-
 def brute_force_count(x0, y0, x1, y1, barrier):
     """Recursive reference counter, independent of the kernels."""
     if barrier is not None and x0 + y0 == barrier:
@@ -85,37 +79,6 @@ def test_barrier_out_of_reach_is_free():
     # sums below 2s are still reachable (walk west first), so a barrier
     # there does cut paths off
     assert _pypaths.dp_count(s, s, 0, h, 2 * s - 1) < free
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-def test_compiled_dp_matches_pure():
-    for x0 in range(0, 8):
-        for y0 in range(0, 4):
-            for y1 in range(y0, 10):
-                for barrier in [None] + list(range(0, 14, 3)):
-                    pure = _pypaths.dp_count(x0, y0, 0, y1, barrier)
-                    fast = _speedups.dp_count(x0, y0, 0, y1, barrier)
-                    assert pure == fast
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-def test_compiled_family_matches_pure():
-    rng = random.Random(8)
-    checked = 0
-    for _ in range(60):
-        k = rng.randint(1, 3)
-        starts = tuple(sorted({(v, v) for v in rng.sample(range(4), k)}))
-        ends = tuple(
-            sorted({(0, rng.randint(4, 9)) for _ in range(len(starts))})
-        )
-        if len(ends) != len(starts):
-            continue
-        barrier = rng.choice([None, 7, 9, 11, 13])
-        pure = _pypaths.family_count(starts, ends, barrier, 10**7)
-        fast = _speedups.family_count(starts, ends, barrier, 10**7)
-        assert pure == fast
-        checked += 1
-    assert checked >= 30
 
 
 def test_formula_matches_dp_where_applicable():
@@ -193,14 +156,6 @@ def test_budget_exceeded_is_distinct_from_zero():
     # an impossible family returns plain zero no matter how small the budget
     blocked = FamilyProblem(starts=((4, 4),), ends=((0, 12),), barrier=8)
     assert count_families_bruteforce(blocked, budget=3) == 0
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-def test_budget_exceeded_compiled_matches_pure():
-    starts, ends = ((4, 4),), ((0, 12),)
-    with pytest.raises(BudgetExceeded):
-        _speedups.family_count(starts, ends, None, 3)
-    assert _speedups.family_count(starts, ends, 8, 3) == 0
 
 
 def test_empty_family_counts_one():
