@@ -17,6 +17,12 @@ Conventions, fixed once here and relied on everywhere else:
   block with rows k = m and columns [m, 0..m-1].  Blocks are computed from
   closed binomial formulas; tests confirm they equal the corresponding
   submatrices of restrict_Bm.
+
+* The exact solvers (det_exact, rref and everything built on rref) work
+  on integers: each input row, int or Fraction, is scaled by the lcm of
+  its denominators, elimination is fraction-free (Bareiss for the
+  determinant, gcd-reduced row combinations for rref), and Fractions
+  are formed once, in a single normalisation at the end.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .arith import binom
 
@@ -195,21 +202,37 @@ def diagonal_blocks(sys: CoeffSystem):
 # --- exact linear algebra --------------------------------------------------
 
 
-def det_exact(matrix) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination.
+def _integer_rows(matrix):
+    """Each row times the lcm of its denominators, with those lcms.
 
-    Pivoting is deterministic: the first row with a nonzero entry in the
-    current column.  With integer input every intermediate value is an
-    integer; rational input divides exactly as well.
+    Entries may be ints or Fractions; both carry numerator/denominator.
+    """
+    rows, scales = [], []
+    for row in matrix:
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return rows, scales
+
+
+def det_exact(matrix) -> Fraction:
+    """Determinant by integer fraction-free (Bareiss) elimination.
+
+    Each row is first scaled to integers by the lcm of its denominators;
+    Bareiss' division by the previous pivot is then exact, so every
+    intermediate is an integer.  One Fraction is formed at the end, the
+    last pivot over the product of the row scales.  Pivoting is
+    deterministic: the first row with a nonzero entry in the current
+    column.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
     if n == 0:
         return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in matrix]
+    a, scales = _integer_rows(matrix)
     sgn = 1
-    prev = Fraction(1)
+    prev = 1
     for c in range(n - 1):
         pivot = next((r for r in range(c, n) if a[r][c]), None)
         if pivot is None:
@@ -217,20 +240,31 @@ def det_exact(matrix) -> Fraction:
         if pivot != c:
             a[c], a[pivot] = a[pivot], a[c]
             sgn = -sgn
+        top = a[c]
+        pv = top[c]
         for r in range(c + 1, n):
+            row = a[r]
+            f = row[c]
             for cc in range(c + 1, n):
-                a[r][cc] = (a[r][cc] * a[c][c] - a[r][c] * a[c][cc]) / prev
-            a[r][c] = Fraction(0)
-        prev = a[c][c]
-    return sgn * a[n - 1][n - 1]
+                row[cc] = (row[cc] * pv - f * top[cc]) // prev
+        prev = pv
+    return Fraction(sgn * a[n - 1][n - 1], prod(scales))
 
 
 def rref(matrix):
     """Reduced row echelon form over the rationals.
 
-    Returns (rows, pivot_cols).  Deterministic first-nonzero pivoting.
+    Returns (rows, pivot_cols), the rows as lists of Fractions.  The
+    elimination is integer and fraction-free: rows are scaled to
+    integers, and a row is cleared in the pivot column by
+    row * pivot - factor * pivot_row, then divided by the gcd of its
+    entries.  Each row stays a nonzero multiple of its reduced row, so
+    one normalisation at the end, dividing each pivot row by its pivot,
+    gives the reduced form; that form is unique, so it equals
+    Gauss-Jordan elimination over the rationals.  Deterministic
+    first-nonzero pivoting.
     """
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows, _ = _integer_rows(matrix)
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -243,15 +277,19 @@ def rref(matrix):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        pv = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row = [x * pv - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    return rows, pivots
+    # rows below the rank are zero and keep denominator 1
+    leads = [rows[k][c] for k, c in enumerate(pivots)] + [1] * (len(rows) - r)
+    return [[Fraction(x, d) for x in row] for row, d in zip(rows, leads)], pivots
 
 
 def rank(matrix) -> int:

@@ -29,6 +29,38 @@ from .poly import (
 )
 
 
+def _check_pair(i: int, j: int):
+    if i == j or i not in (1, 2, 3) or j not in (1, 2, 3):
+        raise ValueError("need two distinct variable indices in 1..3")
+
+
+def _integer_terms(P: Polynomial):
+    """(den, [(exponent, numerator)]): P's terms as integer numerators over
+    one common denominator, since Fraction sums are slow."""
+    den = lcm(*(c.denominator for c in P.terms.values()))
+    return den, [
+        (exp, c.numerator * (den // c.denominator)) for exp, c in P.terms.items()
+    ]
+
+
+def _shift_coefficient(terms, i: int, j: int, r: int):
+    """Numerators of the t^r coefficient of P with x_i = x_j + t.
+
+    x_i^a = sum_r binom(a, r) x_j^(a-r) t^r, so only terms with a >= r
+    contribute; zero sums are kept.
+    """
+    out = {}
+    for exp, num in terms:
+        a = exp[i - 1]
+        if a >= r:
+            shifted = list(exp)
+            shifted[i - 1] = 0
+            shifted[j - 1] += a - r
+            key = tuple(shifted)
+            out[key] = out.get(key, 0) + num * binom(a, r)
+    return out
+
+
 def taylor_coefficients(P: Polynomial, i: int, j: int, count: int):
     """Coefficients c_0 .. c_(count-1) of P expanded in t = x_i - x_j.
 
@@ -37,34 +69,34 @@ def taylor_coefficients(P: Polynomial, i: int, j: int, count: int):
     c_0 .. c_(p-1) all vanish.  Each term expands by the binomial
     theorem; no polynomial products are formed.
     """
-    if i == j or i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError("need two distinct variable indices in 1..3")
+    _check_pair(i, j)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    # integer numerators over one common denominator: Fraction sums are slow
-    den = lcm(*(c.denominator for c in P.terms.values()))
-    coeffs = [{} for _ in range(count)]
-    for exp, coeff in P.terms.items():
-        a = exp[i - 1]
-        num = coeff.numerator * (den // coeff.denominator)
-        shifted = list(exp)
-        shifted[i - 1] = 0
-        b = exp[j - 1]
-        for r in range(min(a, count - 1) + 1):
-            # x_i^a = sum_r binom(a, r) x_j^(a-r) t^r
-            shifted[j - 1] = b + a - r
-            key = tuple(shifted)
-            coeffs[r][key] = coeffs[r].get(key, 0) + num * binom(a, r)
-    return [Polynomial({k: Fraction(v, den) for k, v in c.items()}) for c in coeffs]
+    den, terms = _integer_terms(P)
+    return [
+        Polynomial(
+            {k: Fraction(v, den) for k, v in _shift_coefficient(terms, i, j, r).items()}
+        )
+        for r in range(count)
+    ]
 
 
 def largest_dividing_power(P: Polynomial, i: int, j: int):
-    """Largest p with (x_i - x_j)^p | P, or None when P is zero."""
+    """Largest p with (x_i - x_j)^p | P, or None when P is zero.
+
+    That is the lowest r with a nonzero Taylor coefficient c_r; the
+    coefficients are computed one at a time and the search stops there.
+    """
     if P.is_zero():
         return None
+    _check_pair(i, j)
+    _, terms = _integer_terms(P)
     # c_r for r = deg_{x_i} P is the leading x_i coefficient, never zero
-    coeffs = taylor_coefficients(P, i, j, P.var_degree(i) + 1)
-    return next(r for r, c in enumerate(coeffs) if not c.is_zero())
+    return next(
+        r
+        for r in range(P.var_degree(i) + 1)
+        if any(_shift_coefficient(terms, i, j, r).values())
+    )
 
 
 @dataclass(frozen=True)
@@ -194,8 +226,9 @@ def graded_qi_basis(m: int, d: int):
             for stage, r in enumerate(coeffs):
                 for exp, coeff in r.terms.items():
                     key = ((i, j), stage, exp)
-                    row = row_map.setdefault(key, [Fraction(0)] * len(monos))
-                    row[pos] += coeff
+                    row = row_map.setdefault(key, [0] * len(monos))
+                    # a monomial difference has integer Taylor coefficients
+                    row[pos] += coeff.numerator
     matrix = [row_map[key] for key in sorted(row_map)]
     vectors = nullspace_vectors(matrix, len(monos))
     return [

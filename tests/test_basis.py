@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quasi3.acceptance import GOLDEN_A1_M2, GOLDEN_A2_M2
 from quasi3.basis import (
     ELEMENT_NAMES,
     BasisReport,
@@ -117,6 +118,19 @@ def test_build_basis_m1_full():
         "delta_power": True,
     }
     assert report.coinvariant_det is None
+
+
+def test_build_basis_m2_full_checks_independence():
+    report = build_basis(2, verify="full")
+    assert report.passed
+    assert report.independence == {
+        "pair_degree_3m+1": True,
+        "pair_degree_3m+2": True,
+        "delta_power": True,
+    }
+    by_name = {e.name: e.poly for e in report.elements}
+    assert by_name["A1"] == parse_poly(GOLDEN_A1_M2)
+    assert by_name["A2"] == parse_poly(GOLDEN_A2_M2)
 
 
 def test_build_basis_m0_full_has_coinvariant_certificate():

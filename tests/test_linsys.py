@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasi3.arith import binom
 from quasi3.linsys import (
@@ -38,6 +40,95 @@ def det_by_permanent_expansion(entries):
     return total
 
 
+def rref_oracle(matrix):
+    """Gauss-Jordan elimination in Fractions, the reference for rref."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+# ints and Fractions mixed, as the callers pass them
+scalars = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Small matrices, often with zero rows and columns and low rank.
+
+    Each row after the first may be kept, zeroed, or replaced by a
+    combination of two earlier rows; some columns are zeroed.
+    """
+    nrows = draw(st.integers(0, 5))
+    ncols = nrows if square else draw(st.integers(0, 5))
+    row = st.lists(scalars, min_size=ncols, max_size=ncols)
+    rows = [draw(row) for _ in range(nrows)]
+    for k in range(1, nrows):
+        kind = draw(st.sampled_from(("keep", "zero", "combination")))
+        if kind == "zero":
+            rows[k] = [0] * ncols
+        elif kind == "combination":
+            a, b = draw(scalars), draw(scalars)
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    for c in draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols)):
+        for row in rows:
+            row[c] = 0
+    return rows
+
+
+# fixed examples and no per-example time limit keep the suite deterministic
+checked = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@checked
+@given(matrices())
+@example([])
+@example([[], [], []])
+@example([[0, 0], [0, 0]])
+def test_rref_matches_fraction_gauss_jordan(matrix):
+    rows, pivots = rref(matrix)
+    assert (rows, pivots) == rref_oracle(matrix)
+    assert all(type(x) is Fraction for row in rows for x in row)
+
+
+@checked
+@given(matrices(square=True))
+@example([])
+@example([[0, 1], [0, 2]])
+def test_det_exact_matches_leibniz(matrix):
+    det = det_exact(matrix)
+    assert type(det) is Fraction
+    assert det == det_by_permanent_expansion(matrix)
+
+
+@checked
+@given(matrices(square=True))
+def test_det_exact_nonzero_iff_full_rank(matrix):
+    assert (det_exact(matrix) != 0) == (rank(matrix) == len(matrix))
+
+
 def test_det_exact_against_leibniz():
     rng = random.Random(17)
     for n in (1, 2, 3, 4):
@@ -58,9 +149,10 @@ def test_det_exact_edge_cases():
 
 
 def test_det_exact_does_not_mutate_input():
-    entries = [[1, 2], [3, 4]]
-    det_exact(entries)
-    assert entries == [[1, 2], [3, 4]]
+    for solve in (det_exact, rref):
+        entries = [[1, 2], [3, Fraction(4, 3)]]
+        solve(entries)
+        assert entries == [[1, 2], [3, Fraction(4, 3)]]
 
 
 def test_rank_and_rref():
