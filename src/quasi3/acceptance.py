@@ -185,7 +185,7 @@ def criterion_6() -> CriterionResult:
             return False, "degree 4 pair dependent modulo ideal part"
         if not quasi.independent_modulo_ideal([A2, A2.apply_perm(S12)], 1):
             return False, "degree 5 pair dependent modulo ideal part"
-        if quasi.in_ideal_part(vandermonde_power(3), 1):
+        if not quasi.independent_modulo_ideal([vandermonde_power(3)], 1):
             return False, "Delta^3 lies in the ideal part"
         report0 = basis.build_basis(0, verify="full")
         det = report0.coinvariant_det

@@ -9,9 +9,9 @@ raw null vectors, and the verification verdicts that were requested:
 * "degrees": element degrees match (0, 3m+1, 3m+1, 3m+2, 3m+2, 6m+3).
 * "quasi": plus quasiinvariance of every element and s23-invariance of
   A1 and A2.
-* "full": plus linear independence modulo the ideal part (gated by
-  ideal_budget since the graded solves grow quickly), and for m = 0 the
-  coinvariant determinant certificate.
+* "full": plus linear independence modulo the ideal part (only for
+  m <= IDEAL_BUDGET, since the graded solves grow quickly), and for
+  m = 0 the coinvariant determinant certificate.
 """
 
 from __future__ import annotations
@@ -23,13 +23,17 @@ from .linsys import build_system, det_exact, nullspace
 from .poly import Polynomial, S12, S23, elementary, mono_sym, vandermonde_power
 from .quasi import (
     coinvariant_nf,
-    in_ideal_part,
     independent_modulo_ideal,
     is_quasiinvariant,
     quotient_degrees,
 )
 
 ELEMENT_NAMES = ("1", "A1", "s12(A1)", "A2", "s12(A2)", "Delta^(2m+1)")
+
+# Largest m whose independence modulo the ideal part is checked: the
+# graded solves behind it grow quickly with m.  Above it the verdicts
+# read None (skipped); raising it changes the CLI verdicts.
+IDEAL_BUDGET = 2
 
 
 class DegenerateSystemError(RuntimeError):
@@ -133,10 +137,10 @@ class BasisReport:
 VERIFY_LEVELS = ("degrees", "quasi", "full")
 
 
-def build_basis(m: int, verify: str = "full", ideal_budget: int = 2) -> BasisReport:
+def build_basis(m: int, verify: str = "full") -> BasisReport:
     """Construct the six elements and verify them at the requested level.
 
-    Independence checks run only for m <= ideal_budget; above that they
+    Independence checks run only for m <= IDEAL_BUDGET; above that they
     are recorded as None (skipped), never silently passed.
     """
     if verify not in VERIFY_LEVELS:
@@ -183,14 +187,14 @@ def build_basis(m: int, verify: str = "full", ideal_budget: int = 2) -> BasisRep
         "delta_power": None,
     }
     coinv_det = None
-    if verify == "full" and m <= ideal_budget:
+    if verify == "full" and m <= IDEAL_BUDGET:
         independence["pair_degree_3m+1"] = independent_modulo_ideal(
             [polys[1], polys[2]], m
         )
         independence["pair_degree_3m+2"] = independent_modulo_ideal(
             [polys[3], polys[4]], m
         )
-        independence["delta_power"] = not in_ideal_part(delta_power, m)
+        independence["delta_power"] = independent_modulo_ideal([delta_power], m)
         if m == 0:
             rows = [coinvariant_nf(P) for P in polys]
             coinv_det = det_exact(rows)

@@ -372,6 +372,8 @@ def cmd_identity(args) -> int:
         if report.checked and not report.equal:
             return MATH_FAIL
         return OK
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
     results = []
     failed = 0
@@ -411,6 +413,8 @@ def cmd_identity(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     rng = random.Random(args.seed)
     samples = []
     for _ in range(args.samples):
@@ -449,6 +453,12 @@ def cmd_selftest(args) -> int:
     indices = None
     if args.only:
         indices = {int(x) for x in args.only.split(",")}
+        count = len(acceptance.ALL_CRITERIA)
+        bad = sorted(i for i in indices if not 1 <= i <= count)
+        if bad:
+            raise ValueError(
+                f"--only takes criteria 1..{count}, got {', '.join(map(str, bad))}"
+            )
     results = acceptance.run_all(indices)
     failed = 0
     for r in results:

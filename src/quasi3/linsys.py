@@ -315,21 +315,18 @@ def nullspace_vectors(matrix, ncols: int):
 def nullspace(sys: CoeffSystem):
     """Null space basis of a coefficient system.
 
-    When the null space is one dimensional the generator is scaled so the
-    [0, 0] coordinate equals 1; a zero [0, 0] coordinate would contradict
-    the construction and is surfaced as a warning, never silently fixed.
+    Each vector has first nonzero coordinate 1 (nullspace_vectors), and
+    column 0 is [0, 0] in every system build_system and restrict_Bm
+    make, so a one-dimensional generator has [0, 0] coordinate 1 unless
+    it is zero.  A zero [0, 0] coordinate would contradict the
+    construction and is surfaced as a warning, never silently fixed.
     """
     basis = nullspace_vectors(sys.entries, len(sys.cols))
-    if len(basis) == 1:
-        v = basis[0]
-        first = sys.cols.index((0, 0)) if (0, 0) in sys.cols else 0
-        if v[first] == 0:
-            warnings.warn(
-                f"null vector of system (m={sys.m}, d={sys.d}) has zero "
-                "[0, 0] coordinate; returning unnormalized",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return [v]
-        return [tuple(x / v[first] for x in v)]
+    if len(basis) == 1 and basis[0][0] == 0:
+        warnings.warn(
+            f"null vector of system (m={sys.m}, d={sys.d}) has zero "
+            "[0, 0] coordinate; returning unnormalized",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return basis

@@ -40,9 +40,12 @@ def enumeration_budget() -> int:
     raw = os.environ.get("QUASI3_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
-    value = int(raw)
-    if value <= 0:
-        raise ValueError("QUASI3_BUDGET must be positive")
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value <= 0:
+        raise ValueError(f"QUASI3_BUDGET must be positive, got {raw!r}")
     return value
 
 

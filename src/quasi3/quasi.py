@@ -7,10 +7,10 @@ x_i = x_j + t, (x_i - x_j)^p divides a polynomial when its coefficients
 of t^0 .. t^(p-1) vanish.
 
 The module also provides the degree-d slice of the m-quasiinvariant ring
-(graded_qi_basis), membership in the part of the slice generated by the
-elementary symmetric polynomials (in_ideal_part), the coinvariant normal
-form used for the m = 0 independence certificate, and the dimension
-series the graded slices must reproduce.
+(graded_qi_basis), independence modulo the part of the slice generated
+by the elementary symmetric polynomials (independent_modulo_ideal), the
+coinvariant normal form used for the m = 0 independence certificate, and
+the dimension series the graded slices must reproduce.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from .arith import binom
-from .linsys import nullspace_vectors, rank
+from .linsys import nullspace_vectors, rank, rref
 from .poly import (
     TRANSPOSITIONS,
     Polynomial,
@@ -210,25 +210,24 @@ def graded_qi_basis(m: int, d: int):
     in (1 - s_ij) P with x_i = x_j + t vanish" over the degree-d
     monomial coefficients, and returns the null space as polynomials,
     each scaled so its first nonzero coefficient in canonical monomial
-    order is 1.
+    order is 1.  For a monomial P, (1 - s_ij) P is P minus P with the
+    exponents of x_i and x_j swapped, so every row entry is an integer.
     """
     if m < 0 or d < 0:
         raise ValueError("m and d must be nonnegative")
     monos = monomials_of_degree(d)
-    index = {mono: pos for pos, mono in enumerate(monos)}
     need = 2 * m + 1
     row_map = {}
-    for (i, j), perm in TRANSPOSITIONS.items():
-        for mono, pos in index.items():
-            P = Polynomial.monomial(mono)
-            diff = P - P.apply_perm(perm)
-            coeffs = taylor_coefficients(diff, i, j, min(need, d + 1))
-            for stage, r in enumerate(coeffs):
-                for exp, coeff in r.terms.items():
-                    key = ((i, j), stage, exp)
-                    row = row_map.setdefault(key, [0] * len(monos))
-                    # a monomial difference has integer Taylor coefficients
-                    row[pos] += coeff.numerator
+    for i, j in TRANSPOSITIONS:
+        for pos, mono in enumerate(monos):
+            swapped = list(mono)
+            swapped[i - 1], swapped[j - 1] = mono[j - 1], mono[i - 1]
+            diff = [(mono, 1), (tuple(swapped), -1)]
+            for r in range(min(need, d + 1)):
+                for exp, num in _shift_coefficient(diff, i, j, r).items():
+                    if num:
+                        key = ((i, j), r, exp)
+                        row_map.setdefault(key, [0] * len(monos))[pos] += num
     matrix = [row_map[key] for key in sorted(row_map)]
     vectors = nullspace_vectors(matrix, len(monos))
     return [
@@ -246,48 +245,31 @@ def _coeff_vector(P: Polynomial, monos, index):
     return v
 
 
-def _homogeneous_degree(P: Polynomial) -> int:
-    if P.is_zero() or not P.is_homogeneous():
-        raise ValueError("need a nonzero homogeneous polynomial")
-    return P.degree()
-
-
-def ideal_part_vectors(m: int, d: int):
-    """Coefficient vectors spanning e1 QI(d-1) + e2 QI(d-2) + e3 QI(d-3)."""
-    monos = monomials_of_degree(d)
-    index = {mono: pos for pos, mono in enumerate(monos)}
-    vectors = []
-    for k in (1, 2, 3):
-        if d - k < 0:
-            continue
-        ek = elementary(k)
-        for Q in graded_qi_basis(m, d - k):
-            vectors.append(_coeff_vector(ek * Q, monos, index))
-    return monos, index, vectors
-
-
-def in_ideal_part(P: Polynomial, m: int) -> bool:
-    """Is P inside the span of e_k times lower quasiinvariant slices?"""
-    d = _homogeneous_degree(P)
-    monos, index, vectors = ideal_part_vectors(m, d)
-    base = rank(vectors) if vectors else 0
-    return rank(vectors + [_coeff_vector(P, monos, index)]) == base
-
-
 def independent_modulo_ideal(polys, m: int) -> bool:
     """No nonzero combination of polys lies in the ideal part.
 
-    All inputs must be homogeneous of one degree; equivalent to the span
-    of polys meeting the ideal part only in 0 and being full rank.
+    The ideal part of degree d is e1 QI(d-1) + e2 QI(d-2) + e3 QI(d-3).
+    All inputs must be nonzero and homogeneous of one degree.  The ideal
+    part is reduced once; adding polys to its echelon rows must raise
+    the rank by len(polys).
     """
-    degrees = {_homogeneous_degree(P) for P in polys}
+    if any(P.is_zero() or not P.is_homogeneous() for P in polys):
+        raise ValueError("need a nonzero homogeneous polynomial")
+    degrees = {P.degree() for P in polys}
     if len(degrees) != 1:
         raise ValueError("polynomials must share one degree")
     d = degrees.pop()
-    monos, index, vectors = ideal_part_vectors(m, d)
-    base = rank(vectors) if vectors else 0
-    extended = vectors + [_coeff_vector(P, monos, index) for P in polys]
-    return rank(extended) == base + len(polys)
+    monos = monomials_of_degree(d)
+    index = {mono: pos for pos, mono in enumerate(monos)}
+    vectors = [
+        _coeff_vector(elementary(k) * Q, monos, index)
+        for k in (1, 2, 3)
+        if k <= d
+        for Q in graded_qi_basis(m, d - k)
+    ]
+    rows, pivots = rref(vectors)
+    new = [_coeff_vector(P, monos, index) for P in polys]
+    return rank(rows[: len(pivots)] + new) == len(pivots) + len(polys)
 
 
 # --- dimension series -------------------------------------------------------

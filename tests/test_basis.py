@@ -151,7 +151,7 @@ def test_build_basis_degrees_level_skips_quasi():
 
 
 def test_build_basis_skips_independence_beyond_budget():
-    report = build_basis(3, verify="full", ideal_budget=2)
+    report = build_basis(3, verify="full")
     assert report.independence["pair_degree_3m+1"] is None
     assert report.passed  # skipped checks do not fail the report
 

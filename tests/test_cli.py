@@ -216,6 +216,13 @@ def test_identities_json(capsys):
     assert len(obj["element_level"]) == 8
 
 
+def test_identities_zero_samples_runs_element_level(capsys):
+    code, out, _ = run_cli(capsys, "identities", "--samples", "0", "--seed", "9")
+    assert code == 0
+    assert len([l for l in out.splitlines() if l.startswith("element level:")]) == 8
+    assert out.splitlines()[-1] == "samples: 0, all pass: True"
+
+
 def test_selftest_subset(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--only", "1,2")
     assert code == 0
@@ -259,6 +266,26 @@ def test_selftest_subset(capsys):
         pytest.param(
             ("identity", "thm2", "--params", "4,1,1,1,6,2"), {"QUASI3_BUDGET": "0"},
             "QUASI3_BUDGET must be positive", id="thm2-zero-budget",
+        ),
+        pytest.param(
+            ("identity", "thm2", "--params", "4,1,1,1,6,2"), {"QUASI3_BUDGET": "abc"},
+            "QUASI3_BUDGET must be positive, got 'abc'", id="thm2-non-integer-budget",
+        ),
+        pytest.param(
+            ("selftest", "--only", "0,11"), {},
+            "--only takes criteria 1..10, got 0, 11", id="selftest-out-of-range",
+        ),
+        pytest.param(
+            ("identity", "sweep", "--seed", "1", "--trials", "0"), {},
+            "--trials must be at least 1", id="sweep-zero-trials",
+        ),
+        pytest.param(
+            ("identity", "sweep", "--seed", "1", "--trials", "-1"), {},
+            "--trials must be at least 1", id="sweep-negative-trials",
+        ),
+        pytest.param(
+            ("identities", "--samples", "-3", "--seed", "1"), {},
+            "--samples must be nonnegative", id="identities-negative-samples",
         ),
     ],
 )

@@ -3,12 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from quasi3.poly import Polynomial, elementary, parse_poly, vandermonde_power
+from quasi3.linsys import nullspace_vectors
+from quasi3.poly import (
+    TRANSPOSITIONS,
+    Polynomial,
+    elementary,
+    parse_poly,
+    vandermonde_power,
+)
 from quasi3.quasi import (
     COINVARIANT_BASIS,
     coinvariant_nf,
     graded_qi_basis,
-    in_ideal_part,
     independent_modulo_ideal,
     is_quasiinvariant,
     largest_dividing_power,
@@ -146,6 +152,34 @@ def test_graded_basis_dimensions_match_series():
                 assert is_quasiinvariant(b, m).is_quasiinvariant
 
 
+def graded_qi_basis_oracle(m, d):
+    """The slice from rows built on Polynomial differences and the public
+    Taylor expansion, independently of the integer row builder."""
+    monos = monomials_of_degree(d)
+    count = min(2 * m + 1, d + 1)
+    row_map = {}
+    for (i, j), perm in TRANSPOSITIONS.items():
+        for pos, mono in enumerate(monos):
+            P = Polynomial.monomial(mono)
+            coeffs = taylor_coefficients(P - P.apply_perm(perm), i, j, count)
+            for r, c in enumerate(coeffs):
+                for exp, coeff in c.terms.items():
+                    assert coeff.denominator == 1
+                    row = row_map.setdefault(((i, j), r, exp), [0] * len(monos))
+                    row[pos] += coeff.numerator
+    matrix = [row_map[key] for key in sorted(row_map)]
+    return [
+        Polynomial({monos[pos]: c for pos, c in enumerate(v) if c})
+        for v in nullspace_vectors(matrix, len(monos))
+    ]
+
+
+def test_graded_basis_matches_polynomial_row_oracle():
+    for m in (0, 1, 2):
+        for d in range(11):
+            assert graded_qi_basis(m, d) == graded_qi_basis_oracle(m, d)
+
+
 def test_graded_basis_m1_low_degrees():
     assert [str(b) for b in graded_qi_basis(1, 0)] == ["1"]
     assert [str(b) for b in graded_qi_basis(1, 1)] == ["x1 + x2 + x3"]
@@ -201,9 +235,9 @@ def test_ideal_membership_m1():
     e1 = elementary(1)
     # e1 * (degree-3 quasiinvariant) lies in the ideal part
     for b in graded_qi_basis(m, 3):
-        assert in_ideal_part(e1 * b, m)
+        assert not independent_modulo_ideal([e1 * b], m)
     # the two ansatz-degree elements are not all in the ideal
-    assert any(not in_ideal_part(b, m) for b in qi4)
+    assert any(independent_modulo_ideal([b], m) for b in qi4)
 
 
 def test_independent_modulo_ideal_m1():
@@ -217,6 +251,16 @@ def test_independent_modulo_ideal_m1():
     e1 = elementary(1)
     dep = a1 + e1 * graded_qi_basis(m, 3)[0]
     assert not independent_modulo_ideal([a1, dep], m)
+
+
+@pytest.mark.parametrize(
+    "polys",
+    [[], [Polynomial.zero()], [x1 + x2 * x3], [x1, x2 * x3]],
+    ids=["empty", "zero", "not-homogeneous", "mixed-degree"],
+)
+def test_independent_modulo_ideal_rejects_bad_input(polys):
+    with pytest.raises(ValueError):
+        independent_modulo_ideal(polys, 1)
 
 
 def test_is_quasiinvariant_rejects_negative_m():
