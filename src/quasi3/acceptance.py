@@ -185,7 +185,12 @@ def criterion_6() -> CriterionResult:
             return False, "degree 4 pair dependent modulo ideal part"
         if not quasi.independent_modulo_ideal([A2, A2.apply_perm(S12)], 1):
             return False, "degree 5 pair dependent modulo ideal part"
-        if not quasi.independent_modulo_ideal([vandermonde_power(3)], 1):
+        # the full slices check the antisymmetric route build_basis uses
+        delta3 = vandermonde_power(3)
+        full = quasi.independent_modulo_ideal([delta3], 1)
+        if full != quasi.antisymmetric_independent_modulo_ideal(delta3, 1):
+            return False, "full and antisymmetric routes disagree on Delta^3"
+        if not full:
             return False, "Delta^3 lies in the ideal part"
         report0 = basis.build_basis(0, verify="full")
         det = report0.coinvariant_det

@@ -452,13 +452,16 @@ def cmd_identities(args) -> int:
 def cmd_selftest(args) -> int:
     indices = None
     if args.only:
-        indices = {int(x) for x in args.only.split(",")}
+        indices, bad = set(), []
+        for item in args.only.split(","):
+            try:
+                indices.add(int(item))
+            except ValueError:
+                bad.append(repr(item))
         count = len(acceptance.ALL_CRITERIA)
-        bad = sorted(i for i in indices if not 1 <= i <= count)
+        bad = [str(i) for i in sorted(indices) if not 1 <= i <= count] + bad
         if bad:
-            raise ValueError(
-                f"--only takes criteria 1..{count}, got {', '.join(map(str, bad))}"
-            )
+            raise ValueError(f"--only takes criteria 1..{count}, got {', '.join(bad)}")
     results = acceptance.run_all(indices)
     failed = 0
     for r in results:

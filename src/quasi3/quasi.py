@@ -9,23 +9,33 @@ of t^0 .. t^(p-1) vanish.
 The module also provides the degree-d slice of the m-quasiinvariant ring
 (graded_qi_basis), independence modulo the part of the slice generated
 by the elementary symmetric polynomials (independent_modulo_ideal), the
+same two for the antisymmetric component only
+(antisymmetric_qi_basis, antisymmetric_independent_modulo_ideal), the
 coinvariant normal form used for the m = 0 independence certificate, and
 the dimension series the graded slices must reproduce.
+
+The antisymmetric route decides an antisymmetric input such as
+Delta^(2m+1) on far smaller systems than the full slices; the full
+route stays the independent check on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 
 from .arith import binom
 from .linsys import nullspace_vectors, rank, rref
 from .poly import (
+    S12,
+    S23,
     TRANSPOSITIONS,
     Polynomial,
     elementary,
     term_key,
+    vandermonde,
 )
 
 
@@ -270,6 +280,91 @@ def independent_modulo_ideal(polys, m: int) -> bool:
     rows, pivots = rref(vectors)
     new = [_coeff_vector(P, monos, index) for P in polys]
     return rank(rows[: len(pivots)] + new) == len(pivots) + len(polys)
+
+
+# --- the antisymmetric component --------------------------------------------
+
+
+def _partitions3(n: int):
+    """Partitions of n into at most three parts, (a, b, c) with
+    a >= b >= c >= 0, in descending lex order."""
+    return [
+        (a, b, n - a - b)
+        for a in range(n, -1, -1)
+        for b in range(min(a, n - a), -1, -1)
+        if n - a - b <= b
+    ]
+
+
+def antisymmetric_qi_basis(m: int, d: int):
+    """Basis of the antisymmetric m-quasiinvariants of degree d.
+
+    An antisymmetric polynomial vanishes on every x_i = x_j, so it is
+    Delta f with f symmetric.  (1 - s12)(Delta f) = 2 Delta f, and the
+    factors (x1 - x3)(x2 - x3) of Delta are coprime to x1 - x2, so Delta f
+    passes the s12 test exactly when (x1 - x2)^(2m) divides f; since f is
+    symmetric, that one pair gives every pair.  The basis is Delta f for a
+    basis of those f of degree d - 3, solved from this condition alone
+    (that they are Delta^(2m+1) Sym, Feigin-Veselov, is never assumed).
+
+    f is written in the monomial symmetric functions m_lambda, lambda a
+    partition of d - 3 with at most three parts; the rows are the
+    coefficients of t^0 .. t^(2m-1) of f with x1 = x2 + t, built on
+    integers.  Empty for d < 3.
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if d < 3:
+        return []
+    supports = [set(permutations(lam)) for lam in _partitions3(d - 3)]
+    row_map = {}
+    for pos, support in enumerate(supports):
+        terms = [(exp, 1) for exp in support]
+        for r in range(2 * m):
+            for exp, num in _shift_coefficient(terms, 1, 2, r).items():
+                if num:
+                    row_map.setdefault((r, exp), [0] * len(supports))[pos] += num
+    matrix = [row_map[key] for key in sorted(row_map)]
+    delta = vandermonde()
+    return [
+        delta
+        * Polynomial({exp: c for support, c in zip(supports, v) for exp in support})
+        for v in nullspace_vectors(matrix, len(supports))
+    ]
+
+
+def antisymmetric_independent_modulo_ideal(P: Polynomial, m: int) -> bool:
+    """P does not lie in the ideal part, for antisymmetric P.
+
+    The ideal part I_d = e1 QI(d-1) + e2 QI(d-2) + e3 QI(d-3) is
+    S3-stable, and the antisymmetriser Alt = (1/6) sum sgn(sigma) sigma
+    commutes with multiplying by the symmetric e_k.  P equals Alt(P), so
+    P lies in I_d exactly when it lies in Alt(I_d) = sum_k e_k Alt(QI(d-k)).
+    QI is S3-stable and Alt fixes antisymmetric polynomials, so Alt(QI(n))
+    is the antisymmetric part of QI(n): antisymmetric_qi_basis(m, n).
+
+    An antisymmetric polynomial is fixed by its coefficients on
+    x1^a x2^b x3^c with a > b > c, so those are the coordinates.  The
+    generators e_k A are reduced once; adding P must raise the rank by
+    one.
+    """
+    if P.is_zero() or not P.is_homogeneous():
+        raise ValueError("need a nonzero homogeneous polynomial")
+    if P.apply_perm(S12) != -P or P.apply_perm(S23) != -P:
+        raise ValueError("need an antisymmetric polynomial")
+    d = P.degree()
+    monos = [exp for exp in monomials_of_degree(d) if exp[0] > exp[1] > exp[2]]
+
+    def coordinates(Q):
+        return [Q.coefficient(mono) for mono in monos]
+
+    vectors = [
+        coordinates(elementary(k) * A)
+        for k in (1, 2, 3)
+        for A in antisymmetric_qi_basis(m, d - k)
+    ]
+    rows, pivots = rref(vectors)
+    return rank(rows[: len(pivots)] + [coordinates(P)]) == len(pivots) + 1
 
 
 # --- dimension series -------------------------------------------------------

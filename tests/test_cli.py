@@ -276,6 +276,14 @@ def test_selftest_subset(capsys):
             "--only takes criteria 1..10, got 0, 11", id="selftest-out-of-range",
         ),
         pytest.param(
+            ("selftest", "--only", "abc"), {},
+            "--only takes criteria 1..10, got 'abc'", id="selftest-non-integer",
+        ),
+        pytest.param(
+            ("selftest", "--only", "1,,2"), {},
+            "--only takes criteria 1..10, got ''", id="selftest-empty-item",
+        ),
+        pytest.param(
             ("identity", "sweep", "--seed", "1", "--trials", "0"), {},
             "--trials must be at least 1", id="sweep-zero-trials",
         ),

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasi3.poly import (
     ALL_PERMS,
@@ -31,6 +33,14 @@ def random_poly(rng, max_terms=8, max_exp=5):
         exp = tuple(rng.randint(0, max_exp) for _ in range(3))
         terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     return Polynomial(terms)
+
+
+exponents = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+polys = st.dictionaries(exponents, coefficients, max_size=8).map(Polynomial)
+
+# fixed examples and no per-example time limit keep the suite deterministic
+checked = settings(max_examples=100, deadline=None, derandomize=True)
 
 
 def test_zero_and_constant():
@@ -113,13 +123,12 @@ def test_apply_perm_on_variables():
     assert p.apply_perm(S13) == x3**3 * x2
 
 
-def test_apply_perm_is_group_action():
-    rng = random.Random(7)
-    for _ in range(20):
-        p = random_poly(rng)
-        for s in ALL_PERMS:
-            for t in ALL_PERMS:
-                assert p.apply_perm(t).apply_perm(s) == p.apply_perm(compose(s, t))
+@checked
+@given(polys)
+def test_apply_perm_is_group_action(p):
+    for s in ALL_PERMS:
+        for t in ALL_PERMS:
+            assert p.apply_perm(t).apply_perm(s) == p.apply_perm(compose(s, t))
 
 
 def test_elementary_symmetric():
@@ -160,11 +169,11 @@ def test_vandermonde_power_matches_repeated_products():
         vandermonde_power(-1)
 
 
-def test_parse_format_round_trip():
-    rng = random.Random(99)
-    for _ in range(30):
-        p = random_poly(rng)
-        assert parse_poly(format_poly(p)) == p
+@checked
+@given(polys)
+@example(Polynomial.zero())
+def test_parse_format_round_trip(p):
+    assert parse_poly(format_poly(p)) == p
 
 
 def test_parse_grammar_forms():
@@ -186,12 +195,11 @@ def test_parse_rejects_garbage(bad):
         parse_poly(bad)
 
 
-def test_json_round_trip():
-    rng = random.Random(5)
-    for _ in range(20):
-        p = random_poly(rng)
-        assert Polynomial.from_json_obj(p.to_json_obj()) == p
-    assert Polynomial.from_json_obj(Polynomial.zero().to_json_obj()).is_zero()
+@checked
+@given(polys)
+@example(Polynomial.zero())
+def test_json_round_trip(p):
+    assert Polynomial.from_json_obj(p.to_json_obj()) == p
 
 
 def test_str_is_parseable():

@@ -3,16 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from quasi3.linsys import nullspace_vectors
+from quasi3.group_ops import make_element
+from quasi3.linsys import nullspace_vectors, rank
 from quasi3.poly import (
     TRANSPOSITIONS,
     Polynomial,
     elementary,
     parse_poly,
+    vandermonde,
     vandermonde_power,
 )
 from quasi3.quasi import (
     COINVARIANT_BASIS,
+    antisymmetric_independent_modulo_ideal,
+    antisymmetric_qi_basis,
     coinvariant_nf,
     graded_qi_basis,
     independent_modulo_ideal,
@@ -261,6 +265,64 @@ def test_independent_modulo_ideal_m1():
 def test_independent_modulo_ideal_rejects_bad_input(polys):
     with pytest.raises(ValueError):
         independent_modulo_ideal(polys, 1)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_antisymmetric_basis_spans_the_alternated_graded_slice(m):
+    alt = make_element("S3alt")
+    for d in range(6 * m + 5):
+        monos = monomials_of_degree(d)
+
+        def rows(polys):
+            return [[P.coefficient(mono) for mono in monos] for P in polys]
+
+        ours = rows(antisymmetric_qi_basis(m, d))
+        theirs = rows(alt.apply(Q) for Q in graded_qi_basis(m, d))
+        assert rank(ours) == len(ours)
+        assert rank(ours) == rank(theirs) == rank(ours + theirs)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_antisymmetric_route_matches_full_route_on_delta_power(m):
+    delta = vandermonde_power(2 * m + 1)
+    assert antisymmetric_independent_modulo_ideal(delta, m)
+    assert independent_modulo_ideal([delta], m)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_e1_times_delta_power_lies_in_the_ideal_part(m):
+    P = elementary(1) * vandermonde_power(2 * m + 1)
+    assert not antisymmetric_independent_modulo_ideal(P, m)
+    assert not independent_modulo_ideal([P], m)
+
+
+def test_antisymmetric_route_delta_power_m4():
+    assert antisymmetric_independent_modulo_ideal(vandermonde_power(9), 4)
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        Polynomial.zero(),
+        vandermonde() + vandermonde_power(3),
+        parse_poly("x1^4 - 2*x1^3*x2 - 2*x1^3*x3 + 6*x1^2*x2*x3"),
+        vandermonde_power(2),
+        x1 - x2,
+    ],
+    ids=["zero", "not-homogeneous", "A1", "Delta^2", "s12-only"],
+)
+def test_antisymmetric_independence_rejects_bad_input(P):
+    with pytest.raises(ValueError):
+        antisymmetric_independent_modulo_ideal(P, 1)
+
+
+def test_antisymmetric_qi_basis_small_degrees_and_bad_m():
+    assert antisymmetric_qi_basis(1, 2) == []
+    assert antisymmetric_qi_basis(0, 3) == [vandermonde()]
+    assert antisymmetric_qi_basis(1, 8) == []
+    assert antisymmetric_qi_basis(1, 9) == [vandermonde_power(3)]
+    with pytest.raises(ValueError):
+        antisymmetric_qi_basis(-1, 5)
 
 
 def test_is_quasiinvariant_rejects_negative_m():

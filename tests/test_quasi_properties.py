@@ -1,16 +1,20 @@
 """Property tests for the Taylor-shift divisibility test on random
-polynomials, and for independence modulo the ideal part."""
+polynomials, for the ring and S3 structure of the quasiinvariants, and
+for independence modulo the ideal part on both routes."""
 
 from functools import lru_cache
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quasi3.group_ops import make_element
 from quasi3.linsys import rank
-from quasi3.poly import Polynomial, elementary
+from quasi3.poly import ALL_PERMS, Polynomial, elementary, vandermonde_power
 from quasi3.quasi import (
+    antisymmetric_independent_modulo_ideal,
     graded_qi_basis,
     independent_modulo_ideal,
+    is_quasiinvariant,
     largest_dividing_power,
     monomials_of_degree,
     quotient_degrees,
@@ -97,6 +101,63 @@ def test_independence_matches_two_rank_oracle():
         X = coefficient_rows(polys, d)
         expected = rank(V + X) == rank(V) + len(X)
         assert independent_modulo_ideal(polys, m) == expected
+        verdicts.add(expected)
+
+    check()
+    assert verdicts == {False, True}
+
+
+def combination(data, spanning):
+    """A random integer combination of the spanning polynomials."""
+    weights = data.draw(
+        st.lists(st.integers(-2, 2), min_size=len(spanning), max_size=len(spanning))
+    )
+    return sum((c * b for c, b in zip(weights, spanning)), Polynomial.zero())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data(), st.integers(0, 1), st.integers(0, 6), st.integers(0, 6))
+def test_quasiinvariance_survives_products_and_relabelling(data, m, d1, d2):
+    P = combination(data, slice_basis(m, d1))
+    Q = combination(data, slice_basis(m, d2))
+    sigma = data.draw(st.sampled_from(ALL_PERMS))
+    assert is_quasiinvariant(P, m).is_quasiinvariant
+    assert is_quasiinvariant(P * Q, m).is_quasiinvariant
+    assert is_quasiinvariant(P.apply_perm(sigma), m).is_quasiinvariant
+
+
+@lru_cache(maxsize=None)
+def antisymmetric_spanning(m, d):
+    """Delta^(2m+1) times products of e1, e2, e3 of degree d - 6m - 3, and
+    the antisymmetrised ideal generators of degree d from the full slices."""
+    alt = make_element("S3alt")
+    n = d - 6 * m - 3
+    delta = vandermonde_power(2 * m + 1)
+    spanning = [
+        delta
+        * elementary(1) ** (n - 2 * b - 3 * c)
+        * elementary(2) ** b
+        * elementary(3) ** c
+        for c in range(n // 3 + 1)
+        for b in range((n - 3 * c) // 2 + 1)
+    ]
+    spanning += [alt.apply(P) for P in ideal_generators(m, d)]
+    return tuple(P for P in spanning if not P.is_zero())
+
+
+def test_antisymmetric_independence_matches_full_route():
+    verdicts = set()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.data(), st.integers(0, 1))
+    def check(data, m):
+        # the quotient's antisymmetric part sits in degree 6m+3 alone, so
+        # favour it to see both verdicts
+        d = data.draw(st.just(6 * m + 3) | st.integers(6 * m + 3, 6 * m + 6))
+        P = combination(data, antisymmetric_spanning(m, d))
+        assume(not P.is_zero())
+        expected = independent_modulo_ideal([P], m)
+        assert antisymmetric_independent_modulo_ideal(P, m) == expected
         verdicts.add(expected)
 
     check()
