@@ -18,11 +18,11 @@ Conventions, fixed once here and relied on everywhere else:
   closed binomial formulas; tests confirm they equal the corresponding
   submatrices of restrict_Bm.
 
-* The exact solvers (det_exact, rref and everything built on rref) work
-  on integers: each input row, int or Fraction, is scaled by the lcm of
-  its denominators, elimination is fraction-free (Bareiss for the
-  determinant, gcd-reduced row combinations for rref), and Fractions
-  are formed once, in a single normalisation at the end.
+* The exact solvers share one fraction-free integer elimination loop,
+  _eliminate.  rref clears every other row; det_exact and rank stop at
+  echelon form, and det_exact forms one Fraction at the end from the
+  diagonal and plain-int bookkeeping: the swap count, the gcds divided
+  out, the pivot powers and the row scales.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .arith import binom
+
+# Largest m build_system and extract_blocks accept, checked before any
+# allocation.  At m = 29 the restricted determinant has 4456 digits,
+# past Python's default 4300-digit limit for printing an int.
+MAX_ORDER = 28
 
 
 def coeff_A(i: int, j: int, k: int, l: int, d: int) -> int:
@@ -93,6 +98,8 @@ def build_system(m: int, d: int) -> CoeffSystem:
     """Full constraint system for degree-d quasiinvariant ansatz, order m."""
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if m > MAX_ORDER:
+        raise ValueError(f"m must be at most {MAX_ORDER}, got {m}")
     if d not in (3 * m + 1, 3 * m + 2):
         raise ValueError(f"degree must be {3 * m + 1} or {3 * m + 2} for m={m}")
     rows = system_rows(m)
@@ -148,6 +155,8 @@ def extract_blocks(m: int, d: int) -> BlockSet:
     """
     if m < 1:
         raise ValueError("blocks require m >= 1")
+    if m > MAX_ORDER:
+        raise ValueError(f"m must be at most {MAX_ORDER}, got {m}")
     if d not in (3 * m + 1, 3 * m + 2):
         raise ValueError(f"degree must be {3 * m + 1} or {3 * m + 2} for m={m}")
     leading = []
@@ -202,98 +211,87 @@ def diagonal_blocks(sys: CoeffSystem):
 # --- exact linear algebra --------------------------------------------------
 
 
-def _integer_rows(matrix):
-    """Each row times the lcm of its denominators, with those lcms.
+def _eliminate(matrix, reduced: bool):
+    """The one elimination loop, on the rows scaled to integers by the
+    lcm of their denominators.  First-nonzero pivoting; a row nonzero in
+    the pivot column becomes row * pivot - factor * pivot_row divided by
+    its gcd.  reduced clears every other row (Gauss-Jordan), otherwise
+    only those below the pivot (echelon form).
 
-    Entries may be ints or Fractions; both carry numerator/denominator.
+    Returns (rows, pivot_cols, swaps, gcds, divisors).  Scaling a row
+    and clearing one multiply the determinant: divisors holds the row
+    scales and one pivot**k per pivot column that cleared k rows; gcds
+    holds the gcds divided out.  So a square input of full rank has
+    det = (-1)^swaps * diagonal * prod(gcds) / prod(divisors).
     """
-    rows, scales = [], []
+    rows, divisors, gcds = [], [], []
     for row in matrix:
         scale = lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (scale // x.denominator) for x in row])
-        scales.append(scale)
-    return rows, scales
-
-
-def det_exact(matrix) -> Fraction:
-    """Determinant by integer fraction-free (Bareiss) elimination.
-
-    Each row is first scaled to integers by the lcm of its denominators;
-    Bareiss' division by the previous pivot is then exact, so every
-    intermediate is an integer.  One Fraction is formed at the end, the
-    last pivot over the product of the row scales.  Pivoting is
-    deterministic: the first row with a nonzero entry in the current
-    column.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return Fraction(1)
-    a, scales = _integer_rows(matrix)
-    sgn = 1
-    prev = 1
-    for c in range(n - 1):
-        pivot = next((r for r in range(c, n) if a[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sgn = -sgn
-        top = a[c]
-        pv = top[c]
-        for r in range(c + 1, n):
-            row = a[r]
-            f = row[c]
-            for cc in range(c + 1, n):
-                row[cc] = (row[cc] * pv - f * top[cc]) // prev
-        prev = pv
-    return Fraction(sgn * a[n - 1][n - 1], prod(scales))
-
-
-def rref(matrix):
-    """Reduced row echelon form over the rationals.
-
-    Returns (rows, pivot_cols), the rows as lists of Fractions.  The
-    elimination is integer and fraction-free: rows are scaled to
-    integers, and a row is cleared in the pivot column by
-    row * pivot - factor * pivot_row, then divided by the gcd of its
-    entries.  Each row stays a nonzero multiple of its reduced row, so
-    one normalisation at the end, dividing each pivot row by its pivot,
-    gives the reduced form; that form is unique, so it equals
-    Gauss-Jordan elimination over the rationals.  Deterministic
-    first-nonzero pivoting.
-    """
-    rows, _ = _integer_rows(matrix)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+        divisors.append(scale)
     pivots = []
-    r = 0
-    for c in range(ncols):
+    swaps = r = 0
+    for c in range(len(rows[0]) if rows else 0):
         if r == len(rows):
             break
         pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            swaps += 1
         top = rows[r]
         pv = top[c]
-        for i, row in enumerate(rows):
-            f = row[c]
+        cleared = 0
+        for i in range(0 if reduced else r + 1, len(rows)):
+            f = rows[i][c]
             if f and i != r:
-                row = [x * pv - f * y for x, y in zip(row, top)]
+                row = [x * pv - f * y for x, y in zip(rows[i], top)]
                 g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
+                if g > 1:
+                    row = [x // g for x in row]
+                    gcds.append(g)
+                rows[i] = row
+                cleared += 1
+        if cleared:
+            divisors.append(pv**cleared)
         pivots.append(c)
         r += 1
+    return rows, pivots, swaps, gcds, divisors
+
+
+def det_exact(matrix) -> Fraction:
+    """Determinant from the integer echelon form of _eliminate, formed
+    as one Fraction at the end; zero when the rank is short."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    rows, pivots, swaps, gcds, divisors = _eliminate(matrix, reduced=False)
+    if len(pivots) < n:
+        return Fraction(0)
+    diagonal = (-1) ** swaps * prod(rows[k][k] for k in range(n))
+    return Fraction(diagonal * prod(gcds), prod(divisors))
+
+
+def rref(matrix):
+    """Reduced row echelon form over the rationals.
+
+    Returns (rows, pivot_cols), the rows as lists of Fractions.  After
+    the integer Gauss-Jordan elimination of _eliminate each row is a
+    nonzero multiple of its reduced row, so one normalisation at the
+    end, dividing each pivot row by its pivot, gives the reduced form;
+    that form is unique, so it equals Gauss-Jordan elimination over the
+    rationals.
+    """
+    rows, pivots = _eliminate(matrix, reduced=True)[:2]
     # rows below the rank are zero and keep denominator 1
-    leads = [rows[k][c] for k, c in enumerate(pivots)] + [1] * (len(rows) - r)
+    leads = [rows[k][c] for k, c in enumerate(pivots)]
+    leads += [1] * (len(rows) - len(pivots))
     return [[Fraction(x, d) for x in row] for row, d in zip(rows, leads)], pivots
 
 
 def rank(matrix) -> int:
-    return len(rref(matrix)[1])
+    return len(_eliminate(matrix, reduced=False)[1])
 
 
 def nullspace_vectors(matrix, ncols: int):

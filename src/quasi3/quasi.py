@@ -27,7 +27,7 @@ from itertools import permutations
 from math import lcm
 
 from .arith import binom
-from .linsys import nullspace_vectors, rank, rref
+from .linsys import nullspace_vectors, rank
 from .poly import (
     S12,
     S23,
@@ -259,9 +259,9 @@ def independent_modulo_ideal(polys, m: int) -> bool:
     """No nonzero combination of polys lies in the ideal part.
 
     The ideal part of degree d is e1 QI(d-1) + e2 QI(d-2) + e3 QI(d-3).
-    All inputs must be nonzero and homogeneous of one degree.  The ideal
-    part is reduced once; adding polys to its echelon rows must raise
-    the rank by len(polys).
+    All inputs must be nonzero and homogeneous of one degree.  Adding
+    polys to the ideal part's spanning vectors must raise the rank by
+    len(polys).
     """
     if any(P.is_zero() or not P.is_homogeneous() for P in polys):
         raise ValueError("need a nonzero homogeneous polynomial")
@@ -277,9 +277,8 @@ def independent_modulo_ideal(polys, m: int) -> bool:
         if k <= d
         for Q in graded_qi_basis(m, d - k)
     ]
-    rows, pivots = rref(vectors)
     new = [_coeff_vector(P, monos, index) for P in polys]
-    return rank(rows[: len(pivots)] + new) == len(pivots) + len(polys)
+    return rank(vectors + new) == rank(vectors) + len(new)
 
 
 # --- the antisymmetric component --------------------------------------------
@@ -344,9 +343,8 @@ def antisymmetric_independent_modulo_ideal(P: Polynomial, m: int) -> bool:
     is the antisymmetric part of QI(n): antisymmetric_qi_basis(m, n).
 
     An antisymmetric polynomial is fixed by its coefficients on
-    x1^a x2^b x3^c with a > b > c, so those are the coordinates.  The
-    generators e_k A are reduced once; adding P must raise the rank by
-    one.
+    x1^a x2^b x3^c with a > b > c, so those are the coordinates.  Adding
+    P to the generators e_k A must raise the rank by one.
     """
     if P.is_zero() or not P.is_homogeneous():
         raise ValueError("need a nonzero homogeneous polynomial")
@@ -363,8 +361,7 @@ def antisymmetric_independent_modulo_ideal(P: Polynomial, m: int) -> bool:
         for k in (1, 2, 3)
         for A in antisymmetric_qi_basis(m, d - k)
     ]
-    rows, pivots = rref(vectors)
-    return rank(rows[: len(pivots)] + [coordinates(P)]) == len(pivots) + 1
+    return rank(vectors + [coordinates(P)]) == rank(vectors) + 1
 
 
 # --- dimension series -------------------------------------------------------

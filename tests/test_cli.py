@@ -3,13 +3,16 @@ import os
 import shutil
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
 
 import quasi3
 from quasi3.cli import main
+from quasi3.linsys import extract_blocks
 from quasi3.poly import Polynomial, parse_poly
+from test_linsys import det_bareiss
 
 GOLDEN_A1_M1 = "x1^4 - 2*x1^3*x2 - 2*x1^3*x3 + 6*x1^2*x2*x3"
 
@@ -264,6 +267,14 @@ def test_selftest_subset(capsys):
             "degree must be 7 or 8", id="system-bad-degree",
         ),
         pytest.param(
+            ("det", "--m", "29", "--d", "88"), {},
+            "m must be at most 28, got 29", id="det-m-above-cap",
+        ),
+        pytest.param(
+            ("blocks", "--m", "29", "--d", "89"), {},
+            "m must be at most 28, got 29", id="blocks-m-above-cap",
+        ),
+        pytest.param(
             ("identity", "thm2", "--params", "4,1,1,1,6,2"), {"QUASI3_BUDGET": "0"},
             "QUASI3_BUDGET must be positive", id="thm2-zero-budget",
         ),
@@ -305,6 +316,15 @@ def test_usage_error_exits_2(capsys, monkeypatch, argv, env, message):
     assert out == ""
     assert err.startswith("error:")
     assert message in err
+
+
+def test_det_m20_factorises(capsys):
+    code, out, _ = run_cli(capsys, "det", "--m", "20", "--d", "61", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["agree"] is True and obj["nonzero"] is True
+    blocks = extract_blocks(20, 61).all_blocks()
+    assert obj["det"] == str(prod(det_bareiss(b) for b in blocks))
 
 
 def test_module_runs_as_a_process():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from quasi3.arith import binom
 from quasi3.linsys import (
+    MAX_ORDER,
     CoeffSystem,
     build_system,
     coeff_A,
@@ -39,6 +41,56 @@ def det_by_permanent_expansion(entries):
             term *= Fraction(entries[i][perm[i]])
         total += sign * term
     return total
+
+
+def _integer_rows(matrix):
+    """Each row times the lcm of its denominators, with those lcms.
+
+    Entries may be ints or Fractions; both carry numerator/denominator.
+    """
+    rows, scales = [], []
+    for row in matrix:
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return rows, scales
+
+
+def det_bareiss(matrix) -> Fraction:
+    """Determinant by integer fraction-free (Bareiss) elimination, the
+    reference for det_exact (Bareiss 1968, Math. Comp. 22).
+
+    Each row is first scaled to integers by the lcm of its denominators;
+    Bareiss' division by the previous pivot is then exact, so every
+    intermediate is an integer.  One Fraction is formed at the end, the
+    last pivot over the product of the row scales.  Pivoting is
+    deterministic: the first row with a nonzero entry in the current
+    column.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return Fraction(1)
+    a, scales = _integer_rows(matrix)
+    sgn = 1
+    prev = 1
+    for c in range(n - 1):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            sgn = -sgn
+        top = a[c]
+        pv = top[c]
+        for r in range(c + 1, n):
+            row = a[r]
+            f = row[c]
+            for cc in range(c + 1, n):
+                row[cc] = (row[cc] * pv - f * top[cc]) // prev
+        prev = pv
+    return Fraction(sgn * a[n - 1][n - 1], prod(scales))
 
 
 def rref_oracle(matrix):
@@ -75,14 +127,15 @@ scalars = st.one_of(
 
 
 @st.composite
-def matrices(draw, square=False):
-    """Small matrices, often with zero rows and columns and low rank.
+def matrices(draw, square=False, size=5):
+    """Matrices of at most size rows and columns, often with zero rows
+    and columns and low rank.
 
     Each row after the first may be kept, zeroed, or replaced by a
     combination of two earlier rows; some columns are zeroed.
     """
-    nrows = draw(st.integers(0, 5))
-    ncols = nrows if square else draw(st.integers(0, 5))
+    nrows = draw(st.integers(0, size))
+    ncols = nrows if square else draw(st.integers(0, size))
     row = st.lists(scalars, min_size=ncols, max_size=ncols)
     rows = [draw(row) for _ in range(nrows)]
     for k in range(1, nrows):
@@ -125,9 +178,33 @@ def test_det_exact_matches_leibniz(matrix):
 
 
 @checked
+@given(matrices(square=True, size=8))
+@example([])
+@example([[0, 1], [0, 2]])
+def test_det_exact_matches_bareiss(matrix):
+    det = det_exact(matrix)
+    assert type(det) is Fraction
+    assert det == det_bareiss(matrix)
+
+
+@checked
 @given(matrices(square=True))
 def test_det_exact_nonzero_iff_full_rank(matrix):
     assert (det_exact(matrix) != 0) == (rank(matrix) == len(matrix))
+
+
+@checked
+@given(matrices())
+@example([[], [], []])
+def test_rank_counts_rref_pivots(matrix):
+    assert rank(matrix) == len(rref(matrix)[1])
+
+
+def test_det_exact_matches_bareiss_on_restricted_systems():
+    for m in range(1, 9):
+        for d in (3 * m + 1, 3 * m + 2):
+            entries = restrict_Bm(build_system(m, d)).entries
+            assert det_exact(entries) == det_bareiss(entries)
 
 
 def test_det_exact_against_leibniz():
@@ -150,7 +227,7 @@ def test_det_exact_edge_cases():
 
 
 def test_det_exact_does_not_mutate_input():
-    for solve in (det_exact, rref):
+    for solve in (det_exact, rref, rank):
         entries = [[1, 2], [3, Fraction(4, 3)]]
         solve(entries)
         assert entries == [[1, 2], [3, Fraction(4, 3)]]
@@ -218,6 +295,15 @@ def test_build_system_rejects_bad_degree():
         build_system(-1, 1)
 
 
+def test_builders_reject_m_above_max_order():
+    m = MAX_ORDER + 1
+    with pytest.raises(ValueError, match=f"m must be at most {MAX_ORDER}"):
+        build_system(m, 3 * m + 1)
+    with pytest.raises(ValueError, match=f"m must be at most {MAX_ORDER}"):
+        extract_blocks(m, 3 * m + 2)
+    assert len(extract_blocks(MAX_ORDER, 3 * MAX_ORDER + 1).leading) == MAX_ORDER
+
+
 def test_restricted_system_m1_golden():
     # m = 1, d = 4: single 1x1 leading block and 1x1 final block
     sub = restrict_Bm(build_system(1, 4))
@@ -240,7 +326,7 @@ def test_extract_blocks_match_submatrices():
 
 
 def test_block_determinant_product_equals_full_determinant():
-    for m in (1, 2, 3, 4):
+    for m in (1, 2, 3, 4, 8, 12, 20):
         for d in (3 * m + 1, 3 * m + 2):
             sub = restrict_Bm(build_system(m, d))
             det = det_exact(sub.entries)
