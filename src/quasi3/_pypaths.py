@@ -40,6 +40,15 @@ def dp_count(x0: int, y0: int, x1: int, y1: int, barrier) -> int:
     return col[height]
 
 
+def guard_product(starts, ends, barrier) -> int:
+    """Product of the single-path counts starts[t] -> ends[t]: the number
+    of candidate tuples a family enumeration would visit."""
+    product = 1
+    for (sx, sy), (ex, ey) in zip(starts, ends):
+        product *= dp_count(sx, sy, ex, ey, barrier)
+    return product
+
+
 def family_count(starts, ends, barrier, budget: int) -> int:
     """Count pairwise vertex-disjoint path tuples, starts[t] -> ends[t].
 
@@ -52,9 +61,7 @@ def family_count(starts, ends, barrier, budget: int) -> int:
         raise ValueError("starts and ends must pair up")
     if k == 0:
         return 1
-    product = 1
-    for (sx, sy), (ex, ey) in zip(starts, ends):
-        product *= dp_count(sx, sy, ex, ey, barrier)
+    product = guard_product(starts, ends, barrier)
     if product == 0:
         return 0
     if product > budget:

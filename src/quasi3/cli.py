@@ -93,6 +93,7 @@ def _quasi_report_obj(report):
 
 def cmd_basis(args) -> int:
     report = basis.build_basis(args.m, verify=args.verify)
+    null_vectors = (("A1", report.null_vector_a1), ("A2", report.null_vector_a2))
     if args.format == "json":
         obj = {
             "m": report.m,
@@ -105,18 +106,11 @@ def cmd_basis(args) -> int:
                 e.name: e.expected_degree for e in report.elements
             },
             "null_vectors": {
-                "A1": {
-                    "columns": [list(c) for c in report.null_vector_a1[0]],
-                    "coefficients": [
-                        rational_to_str(x) for x in report.null_vector_a1[1]
-                    ],
-                },
-                "A2": {
-                    "columns": [list(c) for c in report.null_vector_a2[0]],
-                    "coefficients": [
-                        rational_to_str(x) for x in report.null_vector_a2[1]
-                    ],
-                },
+                name: {
+                    "columns": [list(c) for c in labels],
+                    "coefficients": [rational_to_str(x) for x in vec],
+                }
+                for name, (labels, vec) in null_vectors
             },
             "verdicts": {
                 "degrees_ok": report.degrees_ok,
@@ -133,16 +127,11 @@ def cmd_basis(args) -> int:
     else:
         for e in report.elements:
             print(f"{e.name} (degree {e.degree}): {e.poly}")
-        labels, vec = report.null_vector_a1
-        print(
-            "null vector A1:",
-            ", ".join(f"C{list(l)}={rational_to_str(v)}" for l, v in zip(labels, vec)),
-        )
-        labels, vec = report.null_vector_a2
-        print(
-            "null vector A2:",
-            ", ".join(f"C{list(l)}={rational_to_str(v)}" for l, v in zip(labels, vec)),
-        )
+        for name, (labels, vec) in null_vectors:
+            print(
+                f"null vector {name}:",
+                ", ".join(f"C{list(l)}={rational_to_str(v)}" for l, v in zip(labels, vec)),
+            )
         print(f"degrees ok: {report.degrees_ok}")
         if report.verify in ("quasi", "full"):
             print(f"quasiinvariance ok: {report.quasi_ok}")
@@ -178,20 +167,19 @@ def cmd_check(args) -> int:
 def cmd_system(args) -> int:
     sys_ = linsys.build_system(args.m, args.d)
     shown = linsys.restrict_Bm(sys_) if args.restrict_bm else sys_
-    obj = shown.to_json_obj()
-    if args.blocks:
-        blocks = linsys.extract_blocks(args.m, args.d)
-        obj["blocks"] = [
-            [[str(x) for x in row] for row in b] for b in blocks.all_blocks()
-        ]
+    blocks = linsys.extract_blocks(args.m, args.d) if args.blocks else None
     if args.format == "json":
+        obj = shown.to_json_obj()
+        if args.blocks:
+            obj["blocks"] = [
+                [[str(x) for x in row] for row in b] for b in blocks.all_blocks()
+            ]
         _print_json(obj)
     else:
         name = "restricted system" if args.restrict_bm else "full system"
         print(f"{name} m={shown.m} d={shown.d} shape {shown.shape}")
         print(_format_matrix(shown.entries, shown.rows, shown.cols))
         if args.blocks:
-            blocks = linsys.extract_blocks(args.m, args.d)
             for f, b in enumerate(blocks.leading, start=1):
                 print(f"block {f}:")
                 print(_format_matrix(b))
@@ -277,17 +265,22 @@ def cmd_dims(args) -> int:
     return OK if agree else MATH_FAIL
 
 
-def _parse_point(text):
+def _parse_point(text, option):
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"point must be X,Y: {text!r}")
-    return (int(parts[0]), int(parts[1]))
+    try:
+        return (int(parts[0]), int(parts[1]))
+    except ValueError:
+        raise ValueError(
+            f"{option} point must be X,Y with integer X and Y, got {text!r}"
+        ) from None
 
 
 def cmd_paths(args) -> int:
     problem = paths.PathProblem(
-        start=_parse_point(args.start),
-        end=_parse_point(args.end),
+        start=_parse_point(args.start, "--start"),
+        end=_parse_point(args.end, "--end"),
         barrier=args.barrier,
     )
     count = paths.count_paths_dp(problem)
@@ -348,53 +341,50 @@ def _print_thm_report(report, kind):
 
 def _parse_params(text, count, label):
     parts = text.split(",")
+    needs = f"{label} needs {count} comma-separated integers"
     if len(parts) != count:
-        raise ValueError(f"{label} needs {count} comma-separated integers")
-    return [int(p) for p in parts]
+        raise ValueError(needs)
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"{needs}, got {text!r}") from None
+
+
+# identity kind -> (verifier in paths, looked up at call time, JSON builder)
+IDENTITY_KINDS = {
+    "thm1": ("verify_thm1", _thm1_report_obj),
+    "thm2": ("verify_thm2", _thm2_report_obj),
+}
 
 
 def cmd_identity(args) -> int:
-    if args.identity_command == "thm1":
-        report = paths.verify_thm1(*_parse_params(args.params, 6, "thm1"))
-        if args.format == "json":
-            _print_json(_thm1_report_obj(report))
-        else:
-            _print_thm_report(report, "thm1")
-        if report.checked and not report.equal:
-            return MATH_FAIL
-        return OK
-    if args.identity_command == "thm2":
-        report = paths.verify_thm2(*_parse_params(args.params, 6, "thm2"))
-        if args.format == "json":
-            _print_json(_thm2_report_obj(report))
-        else:
-            _print_thm_report(report, "thm2")
-        if report.checked and not report.equal:
-            return MATH_FAIL
-        return OK
+    kind = args.identity_command
+    verifier, report_obj = IDENTITY_KINDS[kind]
+    report = getattr(paths, verifier)(*_parse_params(args.params, 6, kind))
+    if args.format == "json":
+        _print_json(report_obj(report))
+    else:
+        _print_thm_report(report, kind)
+    return MATH_FAIL if report.checked and not report.equal else OK
+
+
+def cmd_identity_sweep(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
+    instances = [
+        ("thm1", params) for params in paths.sample_thm1_instances(rng, args.trials)
+    ]
+    grid = list(paths.thm2_grid(coord_bound=8, nmax=2))
+    step = max(1, len(grid) // args.trials)
+    instances += [("thm2", params) for params in grid[::step][: args.trials]]
     results = []
     failed = 0
     unchecked = 0
-    params_list = paths.sample_thm1_instances(rng, args.trials)
-    for params in params_list:
-        report = paths.verify_thm1(*params)
-        entry = _thm1_report_obj(report)
-        entry["kind"] = "thm1"
-        results.append(entry)
-        if not report.checked:
-            unchecked += 1
-        elif not report.equal:
-            failed += 1
-    grid = list(paths.thm2_grid(coord_bound=8, nmax=2))
-    step = max(1, len(grid) // args.trials)
-    for inst in grid[:: step][: args.trials]:
-        report = paths.verify_thm2(*inst)
-        entry = _thm2_report_obj(report)
-        entry["kind"] = "thm2"
-        results.append(entry)
+    for kind, params in instances:
+        verifier, report_obj = IDENTITY_KINDS[kind]
+        report = getattr(paths, verifier)(*params)
+        results.append({**report_obj(report), "kind": kind})
         if not report.checked:
             unchecked += 1
         elif not report.equal:
@@ -548,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     isw = isub.add_parser("sweep", help="seeded random verification sweep")
     isw.add_argument("--seed", type=int, required=True)
     isw.add_argument("--trials", type=int, required=True)
-    isw.set_defaults(func=cmd_identity)
+    isw.set_defaults(func=cmd_identity_sweep)
 
     p = sub.add_parser("identities", help="group algebra identity checks")
     p.add_argument("--samples", type=int, required=True)

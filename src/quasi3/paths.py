@@ -28,11 +28,13 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._pypaths import BudgetExceeded, dp_count, family_count
+from ._pypaths import BudgetExceeded, dp_count, family_count, guard_product
 from .arith import binom
 from .linsys import det_exact
 
 DEFAULT_BUDGET = 10**7
+# Sweeps keep only instances whose guard_product is at most this.
+SWEEP_PRODUCT_CAP = 200000
 
 
 def enumeration_budget() -> int:
@@ -156,6 +158,12 @@ def thm2_endpoints(a, b, c, d, e, n):
     return starts, ends, c + e
 
 
+def _entries_applicable(starts, ends, L) -> bool:
+    """First-quadrant endpoints and a valid closed form for every entry
+    (formula_applicable rejects s < 0 and h < s, hence negative ends)."""
+    return all(formula_applicable(s, h, L) for s, _ in starts for _, h in ends)
+
+
 def thm2_instance_applicable(a, b, c, d, e, n) -> bool:
     """Every entry's closed form is valid and the endpoints are usable.
 
@@ -164,14 +172,7 @@ def thm2_instance_applicable(a, b, c, d, e, n) -> bool:
     """
     if n < 1 or b < 1 or d < 1:
         return False
-    starts, ends, L = thm2_endpoints(a, b, c, d, e, n)
-    if starts[0][0] < 0 or ends[0][1] < 0:
-        return False
-    return all(
-        formula_applicable(s, h, L)
-        for s, _ in starts
-        for _, h in ends
-    )
+    return _entries_applicable(*thm2_endpoints(a, b, c, d, e, n))
 
 
 @dataclass(frozen=True)
@@ -240,7 +241,12 @@ def verify_thm2(a, b, c, d, e, n, budget=None) -> Thm2Report:
 
 
 def thm1_inner_params(C, D, E, alpha, beta, k):
-    """Parameters of the equivalent diagonal/axis instance."""
+    """Parameters of the equivalent diagonal/axis instance.
+
+    Its thm2_endpoints are thm1's family in the paper's printed order:
+    start (D - t*alpha) on the diagonal and end (0, C + D - E - t*beta)
+    for t = k .. 1, with barrier C + D.
+    """
     return (
         C + D - E - (k + 1) * beta,
         beta,
@@ -250,35 +256,19 @@ def thm1_inner_params(C, D, E, alpha, beta, k):
     )
 
 
-def thm1_endpoints(C, D, E, alpha, beta, k):
-    """Starts, ends (paired by position) and barrier, in printed order."""
-    starts = tuple(
-        (D - t * alpha, D - t * alpha) for t in range(k, 0, -1)
-    )
-    ends = tuple(
-        (0, C + D - E - t * beta) for t in range(k, 0, -1)
-    )
-    return starts, ends, C + D
-
-
 def thm1_applicable(C, D, E, alpha, beta, k) -> bool:
     """Prefactor denominators nonzero, endpoints usable, entries valid.
 
     alpha and beta must share a sign so the positional pairing of the
-    printed start and end lists is the non-crossing one.
+    printed start and end lists is the non-crossing one; being nonzero
+    they also make the starts and the ends distinct.
     """
     if k < 1 or alpha * beta <= 0:
         return False
     if any(binom(C + D, C + t * alpha) == 0 for t in range(1, k + 1)):
         return False
-    starts, ends, L = thm1_endpoints(C, D, E, alpha, beta, k)
-    if any(x < 0 for x, _ in starts) or any(y < 0 for _, y in ends):
-        return False
-    if len(set(starts)) != k or len(set(ends)) != k:
-        return False
-    return all(
-        formula_applicable(s, h, L) for s, _ in starts for _, h in ends
-    )
+    inner = thm1_inner_params(C, D, E, alpha, beta, k)
+    return _entries_applicable(*thm2_endpoints(*inner, k))
 
 
 @dataclass(frozen=True)
@@ -310,7 +300,8 @@ def verify_thm1(C, D, E, alpha, beta, k, budget=None) -> Thm1Report:
         for i in range(1, k + 1)
     )
     det = int(det_exact(entries))
-    starts, ends, L = thm1_endpoints(C, D, E, alpha, beta, k)
+    inner = thm1_inner_params(C, D, E, alpha, beta, k)
+    starts, ends, L = thm2_endpoints(*inner, k)
 
     denominator = 1
     numerator = 1
@@ -323,13 +314,11 @@ def verify_thm1(C, D, E, alpha, beta, k, budget=None) -> Thm1Report:
         entries=entries,
         det=det,
         prefactor=prefactor,
-        inner_params=thm1_inner_params(C, D, E, alpha, beta, k),
+        inner_params=inner,
         starts=starts,
         ends=ends,
         barrier=L,
-        applicable=(
-            prefactor is not None and thm1_applicable(C, D, E, alpha, beta, k)
-        ),
+        applicable=thm1_applicable(C, D, E, alpha, beta, k),
     )
     if prefactor is None:
         return replace(report, note="prefactor denominator vanishes")
@@ -360,12 +349,12 @@ def final_block_instance_params(m: int, d: int):
 # --- instance generators ----------------------------------------------------
 
 
-def thm2_grid(coord_bound: int = 12, nmax: int = 3, product_cap: int = 200000):
+def thm2_grid(coord_bound: int = 12, nmax: int = 3):
     """Deterministic sweep of applicable instances for exhaustive checks.
 
     Yields (a, b, c, d, e, n) tuples whose endpoints stay within
-    coord_bound, whose entries are all formula-valid, and whose family
-    enumeration is within product_cap.
+    coord_bound, whose entries are all formula-valid, and whose guard
+    product is at most SWEEP_PRODUCT_CAP.
     """
     for n in range(1, nmax + 1):
         for b in range(1, 4):
@@ -380,11 +369,8 @@ def thm2_grid(coord_bound: int = 12, nmax: int = 3, product_cap: int = 200000):
                             e = L - c
                             if not thm2_instance_applicable(a, b, c, d, e, n):
                                 continue
-                            starts, ends, _ = thm2_endpoints(a, b, c, d, e, n)
-                            product = 1
-                            for (sx, sy), (ex, ey) in zip(starts, ends):
-                                product *= dp_count(sx, sy, ex, ey, L)
-                            if product > product_cap:
+                            endpoints = thm2_endpoints(a, b, c, d, e, n)
+                            if guard_product(*endpoints) > SWEEP_PRODUCT_CAP:
                                 continue
                             yield (a, b, c, d, e, n)
 
@@ -405,15 +391,13 @@ def sample_thm1_instances(rng, count: int, coord_bound: int = 12):
         E = rng.randint(-4, coord_bound)
         if not thm1_applicable(C, D, E, alpha, beta, k):
             continue
-        starts, ends, L = thm1_endpoints(C, D, E, alpha, beta, k)
+        inner = thm1_inner_params(C, D, E, alpha, beta, k)
+        starts, ends, L = thm2_endpoints(*inner, k)
         if any(x > coord_bound for x, _ in starts):
             continue
         if any(y > coord_bound for _, y in ends):
             continue
-        product = 1
-        for (sx, sy), (ex, ey) in zip(starts, ends):
-            product *= dp_count(sx, sy, ex, ey, L)
-        if product > 200000:
+        if guard_product(starts, ends, L) > SWEEP_PRODUCT_CAP:
             continue
         out.append((C, D, E, alpha, beta, k))
     return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -208,6 +209,17 @@ def test_identity_sweep_deterministic(capsys):
         assert entry["kind"] in ("thm1", "thm2")
 
 
+def test_identity_sweep_golden(capsys):
+    code, out, _ = run_cli(capsys, "identity", "sweep", "--seed", "7", "--trials", "25")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["instances"] == 50
+    kinds = [entry["kind"] for entry in obj["results"]]
+    assert kinds == ["thm1"] * 25 + ["thm2"] * 25
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "2c22ad18c8dce85f357a4ab49c6680ecc5a0fbda9d1afee7874ad9c8c1ca03fc"
+
+
 def test_identities_json(capsys):
     code, out, _ = run_cli(
         capsys, "identities", "--samples", "4", "--seed", "9", "--format", "json"
@@ -243,8 +255,28 @@ def test_selftest_subset(capsys):
             "point must be X,Y", id="paths-bad-point",
         ),
         pytest.param(
+            ("paths", "count", "--start", "a,b", "--end", "0,6"), {},
+            "--start point must be X,Y with integer X and Y, got 'a,b'",
+            id="paths-non-integer-start",
+        ),
+        pytest.param(
+            ("paths", "count", "--start", "2,2", "--end", "0,y"), {},
+            "--end point must be X,Y with integer X and Y, got '0,y'",
+            id="paths-non-integer-end",
+        ),
+        pytest.param(
             ("identity", "thm1", "--params", "1,2,3"), {},
             "needs 6", id="thm1-short-params",
+        ),
+        pytest.param(
+            ("identity", "thm1", "--params", "1,2,3,4,5,x"), {},
+            "thm1 needs 6 comma-separated integers, got '1,2,3,4,5,x'",
+            id="thm1-non-integer-params",
+        ),
+        pytest.param(
+            ("identity", "thm2", "--params", "4,1,1.5,1,6,2"), {},
+            "thm2 needs 6 comma-separated integers, got '4,1,1.5,1,6,2'",
+            id="thm2-non-integer-params",
         ),
         pytest.param(
             ("identity", "thm2", "--params", "1,2,3"), {},

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasi3 import _pypaths, paths
 from quasi3.arith import binom
@@ -19,7 +21,6 @@ from quasi3.paths import (
     sample_thm1_instances,
     single_path_formula,
     thm1_applicable,
-    thm1_endpoints,
     thm1_inner_params,
     thm2_endpoints,
     thm2_grid,
@@ -27,6 +28,10 @@ from quasi3.paths import (
     verify_thm1,
     verify_thm2,
 )
+
+# fixed examples and no per-example time limit keep the suite deterministic
+checked = settings(max_examples=300, deadline=None, derandomize=True)
+
 
 def brute_force_count(x0, y0, x1, y1, barrier):
     """Recursive reference counter, independent of the kernels."""
@@ -196,8 +201,8 @@ def test_thm1_inner_params_give_the_family_instance():
     # the substituted matrix drops the prefactor: its det is the family count
     assert inner.det == outer.family_count
     assert inner.family_count == outer.family_count
-    assert set(inner.starts) == set(outer.starts)
-    assert set(inner.ends) == set(outer.ends)
+    assert inner.starts == outer.starts
+    assert inner.ends == outer.ends
     assert inner.barrier == outer.barrier
 
 
@@ -218,10 +223,52 @@ def test_thm1_applicability_rejects_mixed_signs():
 
 
 def test_thm1_endpoints_printed_order():
-    starts, ends, L = thm1_endpoints(10, -1, 7, -1, -2, 2)
+    inner = thm1_inner_params(10, -1, 7, -1, -2, 2)
+    starts, ends, L = thm2_endpoints(*inner, 2)
     assert starts == ((1, 1), (0, 0))  # t = k .. 1
     assert ends == ((0, 6), (0, 4))
     assert L == 9
+
+
+def printed_thm1_endpoints(C, D, E, alpha, beta, k):
+    """thm1's family read off the paper's printed lists, t = k .. 1."""
+    starts = tuple((D - t * alpha, D - t * alpha) for t in range(k, 0, -1))
+    ends = tuple((0, C + D - E - t * beta) for t in range(k, 0, -1))
+    return starts, ends, C + D
+
+
+def printed_thm1_applicable(C, D, E, alpha, beta, k):
+    """thm1 applicability checked directly on the printed lists."""
+    if k < 1 or alpha * beta <= 0:
+        return False
+    if any(binom(C + D, C + t * alpha) == 0 for t in range(1, k + 1)):
+        return False
+    starts, ends, L = printed_thm1_endpoints(C, D, E, alpha, beta, k)
+    if any(x < 0 for x, _ in starts) or any(y < 0 for _, y in ends):
+        return False
+    if len(set(starts)) != k or len(set(ends)) != k:
+        return False
+    return all(formula_applicable(s, h, L) for s, _ in starts for _, h in ends)
+
+
+@checked
+@given(
+    st.integers(-6, 16),
+    st.integers(-6, 12),
+    st.integers(-6, 12),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.integers(1, 3),
+)
+def test_thm1_family_is_the_substituted_thm2_family(C, D, E, alpha, beta, k):
+    # budget=1 keeps enumeration trivial: only endpoints and verdicts matter here
+    report = verify_thm1(C, D, E, alpha, beta, k, budget=1)
+    printed = printed_thm1_endpoints(C, D, E, alpha, beta, k)
+    assert (report.starts, report.ends, report.barrier) == printed
+    assert report.inner_params == thm1_inner_params(C, D, E, alpha, beta, k)
+    want = printed_thm1_applicable(C, D, E, alpha, beta, k)
+    assert thm1_applicable(C, D, E, alpha, beta, k) == want
+    assert report.applicable == (report.prefactor is not None and want)
 
 
 def test_block_instances_reproduce_block_determinants():
