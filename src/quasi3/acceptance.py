@@ -8,6 +8,7 @@ the stated limits.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -66,275 +67,250 @@ class CriterionResult:
         return self.seconds < self.limit
 
 
-def _run(index, title, limit, fn) -> CriterionResult:
-    start = time.perf_counter()
-    passed, detail = fn()
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        index=index,
-        title=title,
-        passed=passed,
-        detail=detail,
-        seconds=elapsed,
-        limit=limit,
-    )
+# Filled in file order by @_criterion; criterion k is ALL_CRITERIA[k - 1].
+ALL_CRITERIA = []
 
 
-def criterion_1() -> CriterionResult:
+def _criterion(title, limit):
+    """Register check() as the next criterion, timed and numbered by order.
+
+    check() returns (passed, detail); the registered function takes no
+    arguments and returns a CriterionResult.
+    """
+
+    def register(check):
+        index = len(ALL_CRITERIA) + 1
+
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            start = time.perf_counter()
+            passed, detail = check()
+            return CriterionResult(
+                index=index,
+                title=title,
+                passed=passed,
+                detail=detail,
+                seconds=time.perf_counter() - start,
+                limit=limit,
+            )
+
+        ALL_CRITERIA.append(run)
+        return run
+
+    return register
+
+
+@_criterion("golden quasiinvariants (m=1, m=2)", 1.0)
+def criterion_1():
     """Constructed quasiinvariants match the frozen m=1 and m=2 forms."""
-
-    def check():
-        want = {
-            (1, 3, 1): parse_poly(GOLDEN_A1_M1),
-            (1, 3, 2): parse_poly(GOLDEN_A2_M1),
-            (2, 3, 1): parse_poly(GOLDEN_A1_M2),
-            (2, 3, 2): parse_poly(GOLDEN_A2_M2),
-        }
-        got = {}
-        for m in (1, 2):
-            _, A1, _, A2, _, _ = (
-                e.poly for e in basis.build_basis(m, verify="degrees").elements
-            )
-            got[(m, 3, 1)], got[(m, 3, 2)] = A1, A2
-        bad = [k for k in want if want[k] != got[k]]
-        return not bad, f"mismatches: {bad}" if bad else "4 polynomials exact"
-
-    return _run(1, "golden quasiinvariants (m=1, m=2)", 1.0, check)
-
-
-def criterion_2() -> CriterionResult:
-    """m=3 restricted matrix and its four blocks match the frozen values."""
-
-    def check():
-        sub = linsys.restrict_Bm(linsys.build_system(3, 10))
-        ok = (
-            sub.rows == GOLDEN_ROWS_M3
-            and sub.cols == GOLDEN_COLS_M3
-            and sub.entries == GOLDEN_MATRIX_M3
-        )
-        blocks = linsys.extract_blocks(3, 10)
-        ok = ok and blocks.leading == GOLDEN_BLOCKS_M3
-        ok = ok and blocks.final == GOLDEN_FINAL_M3
-        ok = ok and linsys.diagonal_blocks(sub) == blocks.all_blocks()
-        return ok, "9x9 matrix and 4 blocks exact"
-
-    return _run(2, "golden m=3 matrix and blocks", 1.0, check)
-
-
-def criterion_3() -> CriterionResult:
-    """Null space dimension 1 for m <= 6, both degrees; dets nonzero."""
-
-    def check():
-        details = []
-        for m in range(7):
-            for d in (3 * m + 1, 3 * m + 2):
-                sys = linsys.build_system(m, d)
-                vectors = linsys.nullspace(sys)
-                if len(vectors) != 1:
-                    return False, f"nullity {len(vectors)} at (m={m}, d={d})"
-                if m >= 1:
-                    det = linsys.det_exact(linsys.restrict_Bm(sys).entries)
-                    if det == 0:
-                        return False, f"det zero at (m={m}, d={d})"
-            details.append(str(m))
-        return True, f"unique ansatz for m in {{{','.join(details)}}}"
-
-    return _run(3, "uniqueness sweep m <= 6", 30.0, check)
-
-
-def criterion_4() -> CriterionResult:
-    """Quasiinvariance, s23-invariance, and degrees for m <= 6."""
-
-    def check():
-        for m in range(7):
-            report = basis.build_basis(m, verify="quasi")
-            if not report.degrees_ok:
-                return False, f"degree mismatch at m={m}"
-            if not report.quasi_ok:
-                return False, f"quasiinvariance failed at m={m}"
-            if not report.s23_ok:
-                return False, f"s23 invariance failed at m={m}"
-        return True, "all six elements verified for m <= 6"
-
-    return _run(4, "quasiinvariance sweep m <= 6", 60.0, check)
-
-
-def criterion_5() -> CriterionResult:
-    """Graded slice dimensions match the series for m=1, degrees 0..9."""
-
-    def check():
-        series = quasi.qi_dimension_series(1, 9)
-        if series != GOLDEN_DIMS_M1:
-            return False, f"series produced {series}"
-        computed = [len(quasi.graded_qi_basis(1, d)) for d in range(10)]
-        if computed != series:
-            return False, f"graded solves produced {computed}"
-        return True, f"dimensions {computed}"
-
-    return _run(5, "dimension series m=1", 60.0, check)
-
-
-def criterion_6() -> CriterionResult:
-    """Quotient independence certificates for m=1 and m=0."""
-
-    def check():
+    want = {
+        (1, 3, 1): parse_poly(GOLDEN_A1_M1),
+        (1, 3, 2): parse_poly(GOLDEN_A2_M1),
+        (2, 3, 1): parse_poly(GOLDEN_A1_M2),
+        (2, 3, 2): parse_poly(GOLDEN_A2_M2),
+    }
+    got = {}
+    for m in (1, 2):
         _, A1, _, A2, _, _ = (
-            e.poly for e in basis.build_basis(1, verify="degrees").elements
+            e.poly for e in basis.build_basis(m, verify="degrees").elements
         )
-        if not quasi.independent_modulo_ideal([A1, A1.apply_perm(S12)], 1):
-            return False, "degree 4 pair dependent modulo ideal part"
-        if not quasi.independent_modulo_ideal([A2, A2.apply_perm(S12)], 1):
-            return False, "degree 5 pair dependent modulo ideal part"
-        # the full slices check the antisymmetric route build_basis uses
-        delta3 = vandermonde_power(3)
-        full = quasi.independent_modulo_ideal([delta3], 1)
-        if full != quasi.antisymmetric_independent_modulo_ideal(delta3, 1):
-            return False, "full and antisymmetric routes disagree on Delta^3"
-        if not full:
-            return False, "Delta^3 lies in the ideal part"
-        report0 = basis.build_basis(0, verify="full")
-        det = report0.coinvariant_det
-        if det == 0 or det is None:
-            return False, "coinvariant determinant vanished for m=0"
-        return True, f"m=1 certificates pass; m=0 det = {det}"
-
-    return _run(6, "independence certificates", 120.0, check)
+        got[(m, 3, 1)], got[(m, 3, 2)] = A1, A2
+    bad = [k for k in want if want[k] != got[k]]
+    return not bad, f"mismatches: {bad}" if bad else "4 polynomials exact"
 
 
-def criterion_7() -> CriterionResult:
+@_criterion("golden m=3 matrix and blocks", 1.0)
+def criterion_2():
+    """m=3 restricted matrix and its four blocks match the frozen values."""
+    sub = linsys.restrict_Bm(linsys.build_system(3, 10))
+    ok = (
+        sub.rows == GOLDEN_ROWS_M3
+        and sub.cols == GOLDEN_COLS_M3
+        and sub.entries == GOLDEN_MATRIX_M3
+    )
+    blocks = linsys.extract_blocks(3, 10)
+    ok = ok and blocks.leading == GOLDEN_BLOCKS_M3
+    ok = ok and blocks.final == GOLDEN_FINAL_M3
+    ok = ok and linsys.diagonal_blocks(sub) == blocks.all_blocks()
+    return ok, "9x9 matrix and 4 blocks exact"
+
+
+@_criterion("uniqueness sweep m <= 6", 30.0)
+def criterion_3():
+    """Null space dimension 1 for m <= 6, both degrees; dets nonzero."""
+    details = []
+    for m in range(7):
+        for d in (3 * m + 1, 3 * m + 2):
+            sys = linsys.build_system(m, d)
+            vectors = linsys.nullspace(sys)
+            if len(vectors) != 1:
+                return False, f"nullity {len(vectors)} at (m={m}, d={d})"
+            if m >= 1:
+                det = linsys.det_exact(linsys.restrict_Bm(sys).entries)
+                if det == 0:
+                    return False, f"det zero at (m={m}, d={d})"
+        details.append(str(m))
+    return True, f"unique ansatz for m in {{{','.join(details)}}}"
+
+
+@_criterion("quasiinvariance sweep m <= 6", 60.0)
+def criterion_4():
+    """Quasiinvariance, s23-invariance, and degrees for m <= 6."""
+    for m in range(7):
+        report = basis.build_basis(m, verify="quasi")
+        if not report.degrees_ok:
+            return False, f"degree mismatch at m={m}"
+        if not report.quasi_ok:
+            return False, f"quasiinvariance failed at m={m}"
+        if not report.s23_ok:
+            return False, f"s23 invariance failed at m={m}"
+    return True, "all six elements verified for m <= 6"
+
+
+@_criterion("dimension series m=1", 60.0)
+def criterion_5():
+    """Graded slice dimensions match the series for m=1, degrees 0..9."""
+    series = quasi.qi_dimension_series(1, 9)
+    if series != GOLDEN_DIMS_M1:
+        return False, f"series produced {series}"
+    computed = [len(quasi.graded_qi_basis(1, d)) for d in range(10)]
+    if computed != series:
+        return False, f"graded solves produced {computed}"
+    return True, f"dimensions {computed}"
+
+
+@_criterion("independence certificates", 120.0)
+def criterion_6():
+    """Quotient independence certificates for m=1 and m=0."""
+    _, A1, _, A2, _, _ = (
+        e.poly for e in basis.build_basis(1, verify="degrees").elements
+    )
+    if not quasi.independent_modulo_ideal([A1, A1.apply_perm(S12)], 1):
+        return False, "degree 4 pair dependent modulo ideal part"
+    if not quasi.independent_modulo_ideal([A2, A2.apply_perm(S12)], 1):
+        return False, "degree 5 pair dependent modulo ideal part"
+    # the full slices check the antisymmetric route build_basis uses
+    delta3 = vandermonde_power(3)
+    full = quasi.independent_modulo_ideal([delta3], 1)
+    if full != quasi.antisymmetric_independent_modulo_ideal(delta3, 1):
+        return False, "full and antisymmetric routes disagree on Delta^3"
+    if not full:
+        return False, "Delta^3 lies in the ideal part"
+    report0 = basis.build_basis(0, verify="full")
+    det = report0.coinvariant_det
+    if det == 0 or det is None:
+        return False, "coinvariant determinant vanished for m=0"
+    return True, f"m=1 certificates pass; m=0 det = {det}"
+
+
+@_criterion("determinant = family count sweep", 300.0)
+def criterion_7():
     """Exhaustive grid of path-determinant instances, n <= 3."""
-
-    def check():
-        verified = 0
-        for inst in paths.thm2_grid(coord_bound=12, nmax=3):
-            report = paths.verify_thm2(*inst)
-            if not report.checked:
-                return False, f"instance {inst} unchecked: {report.note}"
-            if not report.equal:
-                return False, (
-                    f"instance {inst}: det {report.det} != "
-                    f"count {report.family_count}"
-                )
-            verified += 1
-        if verified < 200:
-            return False, f"only {verified} applicable instances"
-        return True, f"{verified} instances verified exactly"
-
-    return _run(7, "determinant = family count sweep", 300.0, check)
-
-
-def criterion_8() -> CriterionResult:
-    """Prefactor identity on block instances and a seeded random sample."""
-
-    def check():
-        golden = paths.verify_thm1(10, -1, 7, -1, -2, 2)
-        if not (
-            golden.det == 2352
-            and golden.prefactor == Fraction(1176)
-            and golden.family_count == 2
-            and golden.equal
-        ):
+    verified = 0
+    for inst in paths.thm2_grid(coord_bound=12, nmax=3):
+        report = paths.verify_thm2(*inst)
+        if not report.checked:
+            return False, f"instance {inst} unchecked: {report.note}"
+        if not report.equal:
             return False, (
-                f"block instance produced det={golden.det}, "
-                f"prefactor={golden.prefactor}, count={golden.family_count}"
+                f"instance {inst}: det {report.det} != "
+                f"count {report.family_count}"
             )
-        checked = 0
-        for m in range(1, 4):
-            for d in (3 * m + 1, 3 * m + 2):
-                for f in range(1, m + 1):
-                    params = paths.block_instance_params(m, f, d)
-                    report = paths.verify_thm1(*params)
-                    if not (report.checked and report.equal):
-                        return False, f"block params {params}: {report.note}"
-                    block = linsys.extract_blocks(m, d).leading[f - 1]
-                    if report.det != linsys.det_exact(block):
-                        return False, f"block params {params}: det mismatch"
-                    checked += 1
-                params = paths.final_block_instance_params(m, d)
+        verified += 1
+    if verified < 200:
+        return False, f"only {verified} applicable instances"
+    return True, f"{verified} instances verified exactly"
+
+
+@_criterion("prefactor identity sweep", 300.0)
+def criterion_8():
+    """Prefactor identity on block instances and a seeded random sample."""
+    golden = paths.verify_thm1(10, -1, 7, -1, -2, 2)
+    if not (
+        golden.det == 2352
+        and golden.prefactor == Fraction(1176)
+        and golden.family_count == 2
+        and golden.equal
+    ):
+        return False, (
+            f"block instance produced det={golden.det}, "
+            f"prefactor={golden.prefactor}, count={golden.family_count}"
+        )
+    checked = 0
+    for m in range(1, 4):
+        for d in (3 * m + 1, 3 * m + 2):
+            for f in range(1, m + 1):
+                params = paths.block_instance_params(m, f, d)
                 report = paths.verify_thm1(*params)
                 if not (report.checked and report.equal):
-                    return False, f"final block params {params}: {report.note}"
-                final = linsys.extract_blocks(m, d).final
-                if report.det != linsys.det_exact(final):
-                    return False, f"final block params {params}: det mismatch"
+                    return False, f"block params {params}: {report.note}"
+                block = linsys.extract_blocks(m, d).leading[f - 1]
+                if report.det != linsys.det_exact(block):
+                    return False, f"block params {params}: det mismatch"
                 checked += 1
-        rng = random.Random(20260815)
-        sampled = paths.sample_thm1_instances(rng, 50)
-        for params in sampled:
+            params = paths.final_block_instance_params(m, d)
             report = paths.verify_thm1(*params)
-            if not report.checked:
-                return False, f"sampled {params} unchecked: {report.note}"
-            if not report.equal:
-                return False, f"sampled {params}: identity failed"
+            if not (report.checked and report.equal):
+                return False, f"final block params {params}: {report.note}"
+            final = linsys.extract_blocks(m, d).final
+            if report.det != linsys.det_exact(final):
+                return False, f"final block params {params}: det mismatch"
             checked += 1
-        return True, f"{checked} instances verified exactly"
+    rng = random.Random(20260815)
+    sampled = paths.sample_thm1_instances(rng, 50)
+    for params in sampled:
+        report = paths.verify_thm1(*params)
+        if not report.checked:
+            return False, f"sampled {params} unchecked: {report.note}"
+        if not report.equal:
+            return False, f"sampled {params}: identity failed"
+        checked += 1
+    return True, f"{checked} instances verified exactly"
 
-    return _run(8, "prefactor identity sweep", 300.0, check)
 
-
-def criterion_9() -> CriterionResult:
+@_criterion("closed form vs dynamic programming", 30.0)
+def criterion_9():
     """Closed form equals dynamic programming wherever it applies."""
-
-    def check():
-        pairs = 0
-        for s in range(15):
-            for h in range(s, 15):
-                problem = paths.PathProblem(start=(s, s), end=(0, h))
-                if paths.count_paths_dp(problem) != paths.single_path_formula(
-                    s, h, None
-                ):
-                    return False, f"free count mismatch at (s={s}, h={h})"
-                for L in range(-2, 2 * 14 + 3):
-                    if not paths.formula_applicable(s, h, L):
-                        continue
-                    dp = paths.count_paths_dp(
-                        paths.PathProblem(start=(s, s), end=(0, h), barrier=L)
-                    )
-                    if dp != paths.single_path_formula(s, h, L):
-                        return False, f"mismatch at (s={s}, h={h}, L={L})"
-                    pairs += 1
-        return True, f"{pairs} barrier configurations match"
-
-    return _run(9, "closed form vs dynamic programming", 30.0, check)
+    pairs = 0
+    for s in range(15):
+        for h in range(s, 15):
+            problem = paths.PathProblem(start=(s, s), end=(0, h))
+            if paths.count_paths_dp(problem) != paths.single_path_formula(
+                s, h, None
+            ):
+                return False, f"free count mismatch at (s={s}, h={h})"
+            for L in range(-2, 2 * 14 + 3):
+                if not paths.formula_applicable(s, h, L):
+                    continue
+                dp = paths.count_paths_dp(
+                    paths.PathProblem(start=(s, s), end=(0, h), barrier=L)
+                )
+                if dp != paths.single_path_formula(s, h, L):
+                    return False, f"mismatch at (s={s}, h={h}, L={L})"
+                pairs += 1
+    return True, f"{pairs} barrier configurations match"
 
 
-def criterion_10() -> CriterionResult:
+@_criterion("group algebra identities", 10.0)
+def criterion_10():
     """Group algebra identities, element level and 100 random samples."""
-
-    def check():
-        rng = random.Random(1234)
-        samples = []
-        for _ in range(100):
-            terms = {}
-            for _ in range(rng.randint(1, 12)):
-                exp = tuple(rng.randint(0, 8) for _ in range(3))
-                if sum(exp) > 8:
-                    exp = (exp[0] % 3, exp[1] % 3, exp[2] % 3)
-                terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            samples.append(Polynomial(terms))
-        report = group_ops.verify_identities(samples)
-        if not all(report.element_level.values()):
-            bad = [k for k, v in report.element_level.items() if not v]
-            return False, f"element-level failures: {bad}"
-        if not report.passed:
-            return False, "sample-level failure"
-        return True, "8 identities, element level plus 100 samples"
-
-    return _run(10, "group algebra identities", 10.0, check)
-
-
-ALL_CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-)
+    rng = random.Random(1234)
+    samples = []
+    for _ in range(100):
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            exp = tuple(rng.randint(0, 8) for _ in range(3))
+            if sum(exp) > 8:
+                exp = (exp[0] % 3, exp[1] % 3, exp[2] % 3)
+            terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        samples.append(Polynomial(terms))
+    report = group_ops.verify_identities(samples)
+    if not all(report.element_level.values()):
+        bad = [k for k, v in report.element_level.items() if not v]
+        return False, f"element-level failures: {bad}"
+    if not report.passed:
+        return False, "sample-level failure"
+    return True, "8 identities, element level plus 100 samples"
 
 
 def run_all(indices=None):

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import acceptance, basis, group_ops, linsys, paths, quasi
@@ -25,8 +27,12 @@ def _print_json(obj):
     print(json.dumps(obj, indent=2, ensure_ascii=False))
 
 
+def _str_rows(matrix):
+    return [[str(x) for x in row] for row in matrix]
+
+
 def _format_matrix(entries, row_labels=None, col_labels=None):
-    rows = [[str(x) for x in row] for row in entries]
+    rows = _str_rows(entries)
     head = [str(c) for c in col_labels] if col_labels else None
     stubs = [str(r) for r in row_labels] if row_labels else [""] * len(rows)
     stub_w = max((len(s) for s in stubs), default=0)
@@ -75,17 +81,17 @@ def _quasi_report_obj(report):
     return {
         "m": report.m,
         "is_quasiinvariant": report.is_quasiinvariant,
-        "checks": [
-            {
-                "pair": list(c.pair),
-                "difference_zero": c.difference_zero,
-                "largest_power": c.largest_power,
-                "required_power": c.required_power,
-                "divisible": c.divisible,
-            }
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
     }
+
+
+def _print_blocks(blocks, dets=None):
+    """Print each diagonal block, smallest first, with its det when given."""
+    for f, b in enumerate(blocks.all_blocks(), start=1):
+        label = "final block" if f > len(blocks.leading) else f"block {f}"
+        det = "" if dets is None else f" (det {dets[f - 1]})"
+        print(f"{label}{det}:")
+        print(_format_matrix(b))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -171,20 +177,14 @@ def cmd_system(args) -> int:
     if args.format == "json":
         obj = shown.to_json_obj()
         if args.blocks:
-            obj["blocks"] = [
-                [[str(x) for x in row] for row in b] for b in blocks.all_blocks()
-            ]
+            obj["blocks"] = [_str_rows(b) for b in blocks.all_blocks()]
         _print_json(obj)
     else:
         name = "restricted system" if args.restrict_bm else "full system"
         print(f"{name} m={shown.m} d={shown.d} shape {shown.shape}")
         print(_format_matrix(shown.entries, shown.rows, shown.cols))
         if args.blocks:
-            for f, b in enumerate(blocks.leading, start=1):
-                print(f"block {f}:")
-                print(_format_matrix(b))
-            print("final block:")
-            print(_format_matrix(blocks.final))
+            _print_blocks(blocks)
     return OK
 
 
@@ -196,19 +196,12 @@ def cmd_blocks(args) -> int:
             {
                 "m": blocks.m,
                 "d": blocks.d,
-                "blocks": [
-                    [[str(x) for x in row] for row in b]
-                    for b in blocks.all_blocks()
-                ],
+                "blocks": [_str_rows(b) for b in blocks.all_blocks()],
                 "determinants": [str(x) for x in dets],
             }
         )
     else:
-        for f, b in enumerate(blocks.leading, start=1):
-            print(f"block {f} (det {dets[f - 1]}):")
-            print(_format_matrix(b))
-        print(f"final block (det {dets[-1]}):")
-        print(_format_matrix(blocks.final))
+        _print_blocks(blocks, dets)
     return OK
 
 
@@ -217,9 +210,7 @@ def cmd_det(args) -> int:
     blocks = linsys.extract_blocks(args.m, args.d)
     det = linsys.det_exact(sub.entries)
     block_dets = [linsys.det_exact(b) for b in blocks.all_blocks()]
-    product = Fraction(1)
-    for x in block_dets:
-        product *= x
+    product = math.prod(block_dets, start=Fraction(1))
     agree = det == product
     if args.format == "json":
         _print_json(
@@ -301,10 +292,11 @@ def cmd_paths(args) -> int:
     return OK
 
 
-def _thm2_report_obj(report):
-    return {
+def _report_obj(report):
+    """JSON object of a thm2 report; a thm1 report adds its two keys last."""
+    obj = {
         "params": report.params,
-        "entries": [[str(x) for x in row] for row in report.entries],
+        "entries": _str_rows(report.entries),
         "det": str(report.det),
         "starts": [list(p) for p in report.starts],
         "ends": [list(p) for p in report.ends],
@@ -315,19 +307,17 @@ def _thm2_report_obj(report):
         "equal": report.equal,
         "note": report.note,
     }
-
-
-def _thm1_report_obj(report):
-    obj = _thm2_report_obj(report)
-    obj["prefactor"] = None if report.prefactor is None else str(report.prefactor)
-    obj["inner_params"] = list(report.inner_params)
+    if isinstance(report, paths.Thm1Report):
+        obj["prefactor"] = None if report.prefactor is None else str(report.prefactor)
+        obj["inner_params"] = list(report.inner_params)
     return obj
 
 
-def _print_thm_report(report, kind):
-    print(f"{kind} params: {report.params}")
+def _print_thm_report(report):
+    thm1 = isinstance(report, paths.Thm1Report)
+    print(f"{'thm1' if thm1 else 'thm2'} params: {report.params}")
     print(f"matrix det: {report.det}")
-    if kind == "thm1":
+    if thm1:
         print(f"prefactor: {report.prefactor}")
     print(f"starts: {list(report.starts)}")
     print(f"ends: {list(report.ends)}")
@@ -350,21 +340,14 @@ def _parse_params(text, count, label):
         raise ValueError(f"{needs}, got {text!r}") from None
 
 
-# identity kind -> (verifier in paths, looked up at call time, JSON builder)
-IDENTITY_KINDS = {
-    "thm1": ("verify_thm1", _thm1_report_obj),
-    "thm2": ("verify_thm2", _thm2_report_obj),
-}
-
-
 def cmd_identity(args) -> int:
     kind = args.identity_command
-    verifier, report_obj = IDENTITY_KINDS[kind]
-    report = getattr(paths, verifier)(*_parse_params(args.params, 6, kind))
+    # looked up at call time, so a wrapped verifier is the one called
+    report = getattr(paths, f"verify_{kind}")(*_parse_params(args.params, 6, kind))
     if args.format == "json":
-        _print_json(report_obj(report))
+        _print_json(_report_obj(report))
     else:
-        _print_thm_report(report, kind)
+        _print_thm_report(report)
     return MATH_FAIL if report.checked and not report.equal else OK
 
 
@@ -382,9 +365,8 @@ def cmd_identity_sweep(args) -> int:
     failed = 0
     unchecked = 0
     for kind, params in instances:
-        verifier, report_obj = IDENTITY_KINDS[kind]
-        report = getattr(paths, verifier)(*params)
-        results.append({**report_obj(report), "kind": kind})
+        report = getattr(paths, f"verify_{kind}")(*params)
+        results.append({**_report_obj(report), "kind": kind})
         if not report.checked:
             unchecked += 1
         elif not report.equal:
@@ -558,9 +540,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except paths.BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return MATH_FAIL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -94,14 +94,19 @@ class CoeffSystem:
         }
 
 
-def build_system(m: int, d: int) -> CoeffSystem:
-    """Full constraint system for degree-d quasiinvariant ansatz, order m."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+def _check_order_degree(m: int, d: int) -> None:
+    """Refuse m above MAX_ORDER and degrees other than 3m+1, 3m+2."""
     if m > MAX_ORDER:
         raise ValueError(f"m must be at most {MAX_ORDER}, got {m}")
     if d not in (3 * m + 1, 3 * m + 2):
         raise ValueError(f"degree must be {3 * m + 1} or {3 * m + 2} for m={m}")
+
+
+def build_system(m: int, d: int) -> CoeffSystem:
+    """Full constraint system for degree-d quasiinvariant ansatz, order m."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    _check_order_degree(m, d)
     rows = system_rows(m)
     cols = system_columns(m)
     entries = tuple(
@@ -155,10 +160,7 @@ def extract_blocks(m: int, d: int) -> BlockSet:
     """
     if m < 1:
         raise ValueError("blocks require m >= 1")
-    if m > MAX_ORDER:
-        raise ValueError(f"m must be at most {MAX_ORDER}, got {m}")
-    if d not in (3 * m + 1, 3 * m + 2):
-        raise ValueError(f"degree must be {3 * m + 1} or {3 * m + 2} for m={m}")
+    _check_order_degree(m, d)
     leading = []
     for f in range(1, m + 1):
         block = tuple(

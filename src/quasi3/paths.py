@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from ._pypaths import BudgetExceeded, dp_count, family_count, guard_product
 from .arith import binom
-from .linsys import det_exact
+from .linsys import MAX_ORDER, det_exact
 
 DEFAULT_BUDGET = 10**7
 # Sweeps keep only instances whose guard_product is at most this.
@@ -216,10 +216,17 @@ def _count_family(report, factor, budget):
     )
 
 
+def _check_size(name, size):
+    """Refuse a matrix size outside 1..MAX_ORDER before any entry is built."""
+    if size < 1:
+        raise ValueError(f"matrix size {name} must be positive")
+    if size > MAX_ORDER:
+        raise ValueError(f"matrix size {name} must be at most {MAX_ORDER}, got {size}")
+
+
 def verify_thm2(a, b, c, d, e, n, budget=None) -> Thm2Report:
     """Compare the determinant with the brute-force family count."""
-    if n < 1:
-        raise ValueError("matrix size n must be positive")
+    _check_size("n", n)
     entries = tuple(
         tuple(count_paths_formula(a, b, c, d, e, i, j) for j in range(1, n + 1))
         for i in range(1, n + 1)
@@ -271,27 +278,17 @@ def thm1_applicable(C, D, E, alpha, beta, k) -> bool:
     return _entries_applicable(*thm2_endpoints(*inner, k))
 
 
-@dataclass(frozen=True)
-class Thm1Report:
-    params: dict
-    entries: tuple
-    det: int
+@dataclass(frozen=True, kw_only=True)
+class Thm1Report(Thm2Report):
+    """A Thm2Report of the substituted family, plus thm1's own values."""
+
     prefactor: object  # Fraction, or None when undefined
     inner_params: tuple
-    starts: tuple
-    ends: tuple
-    barrier: int
-    applicable: bool
-    family_count: object = None
-    checked: bool = False
-    equal: object = None
-    note: str = ""
 
 
 def verify_thm1(C, D, E, alpha, beta, k, budget=None) -> Thm1Report:
     """Compare the determinant with prefactor * family count."""
-    if k < 1:
-        raise ValueError("matrix size k must be positive")
+    _check_size("k", k)
     entries = tuple(
         tuple(
             binom(C + alpha * i, E + beta * j) - binom(D - alpha * i, E + beta * j)
@@ -376,13 +373,16 @@ def thm2_grid(coord_bound: int = 12, nmax: int = 3):
 
 
 def sample_thm1_instances(rng, count: int, coord_bound: int = 12):
-    """Seeded sample of applicable prefactor-identity instances."""
+    """Seeded sample of applicable prefactor-identity instances.
+
+    Raises ValueError, naming count and the attempt limit, when the
+    limit is reached with fewer than count instances.
+    """
     out = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 200000:
-            raise RuntimeError("sampler failed to find enough instances")
+    limit = 200000
+    for _ in range(limit):
+        if len(out) == count:
+            break
         k = rng.randint(1, 3)
         alpha = rng.choice((-2, -1, 1, 2))
         beta = rng.choice((-2, -1, 1, 2))
@@ -400,4 +400,6 @@ def sample_thm1_instances(rng, count: int, coord_bound: int = 12):
         if guard_product(starts, ends, L) > SWEEP_PRODUCT_CAP:
             continue
         out.append((C, D, E, alpha, beta, k))
+    if len(out) < count:
+        raise ValueError(f"could not draw {count} thm1 instances in {limit} attempts")
     return out

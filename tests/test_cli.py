@@ -209,15 +209,84 @@ def test_identity_sweep_deterministic(capsys):
         assert entry["kind"] in ("thm1", "thm2")
 
 
-def test_identity_sweep_golden(capsys):
-    code, out, _ = run_cli(capsys, "identity", "sweep", "--seed", "7", "--trials", "25")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["instances"] == 50
-    kinds = [entry["kind"] for entry in obj["results"]]
-    assert kinds == ["thm1"] * 25 + ["thm2"] * 25
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "2c22ad18c8dce85f357a4ab49c6680ecc5a0fbda9d1afee7874ad9c8c1ca03fc"
+# Exit code and stdout sha256 of outputs pinned byte for byte; "{poly}"
+# stands for a file holding GOLDEN_A1_M1.
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        pytest.param(
+            "identity sweep --seed 7 --trials 25", 0,
+            "2c22ad18c8dce85f357a4ab49c6680ecc5a0fbda9d1afee7874ad9c8c1ca03fc",
+            id="sweep-seed7",
+        ),
+        pytest.param(
+            "identity thm1 --params 10,-1,7,-1,-2,2", 0,
+            "bab97561b94f5b43e7705401d343288025d1ce5212f9069c213951468761e9b4",
+            id="thm1-block-text",
+        ),
+        pytest.param(
+            "identity thm1 --params 10,-1,7,-1,-2,2 --format json", 0,
+            "1187b9715d9993da1d75437301c612d812c621c8ec34f8ba52043e7d22ca21af",
+            id="thm1-block-json",
+        ),
+        pytest.param(
+            "identity thm1 --params 3,2,1,1,-1,2 --format json", 0,
+            "524ddbfa7aaadf8496c81c332d0ce9be6a10f9f8afa85087ebb4261fc9485012",
+            id="thm1-json",
+        ),
+        pytest.param(
+            "identity thm2 --params 4,1,1,1,6,2", 0,
+            "1ae522a264e9cbf99611359216cd0f92371a62c1f91554d16fc004d2b9e3d422",
+            id="thm2-text",
+        ),
+        pytest.param(
+            "identity thm2 --params 5,1,1,1,4,1 --format json", 1,
+            "840df498d8d93cbfa7ef6831a10375095d9b56bff97c0b30df75d35023d70b01",
+            id="thm2-mismatch-json",
+        ),
+        pytest.param(
+            "system --m 3 --d 10 --restrict-bm --blocks", 0,
+            "f3d369e0a24c9e94493621b1f4ad27993cc7bea1b64c65257886a1954cd3ff93",
+            id="system-blocks-text",
+        ),
+        pytest.param(
+            "system --m 3 --d 10 --restrict-bm --blocks --format json", 0,
+            "142d3bd484a4f6b1be513efc3a8032fdb27166a5ea1397def02aae14ed1a69f0",
+            id="system-blocks-json",
+        ),
+        pytest.param(
+            "blocks --m 3 --d 10", 0,
+            "d7391a0decd1761fcd4edaf363b82f507b89023247f0a8ff884f97b4896758a7",
+            id="blocks-text",
+        ),
+        pytest.param(
+            "blocks --m 3 --d 11 --format json", 0,
+            "4506d215e0b3e17e805e5ef4435e66cafbc75b3edc8ed14bdffba11d8315cb10",
+            id="blocks-json",
+        ),
+        pytest.param(
+            "det --m 3 --d 10", 0,
+            "d2dcfaa773e97c01d85016c33987ea5ec375d64c8135d79344780b4a4c0db9af",
+            id="det-text",
+        ),
+        pytest.param(
+            "check --m 1 --poly {poly} --format json", 0,
+            "224ba9ccf67ab1311b710d8e77b1799f2df7717d1b3bac8725fb19865ec86ea8",
+            id="check-m1-json",
+        ),
+        pytest.param(
+            "check --m 2 --poly {poly} --format json", 1,
+            "a11fde7376cb59d3ac9f34ad5ef0e4ae6a46375b53308f396c3350437d40b835",
+            id="check-m2-json",
+        ),
+    ],
+)
+def test_stdout_golden(capsys, tmp_path, argv, code, digest):
+    poly = tmp_path / "a1.txt"
+    poly.write_text(GOLDEN_A1_M1)
+    got, out, _ = run_cli(capsys, *argv.format(poly=poly).split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_identities_json(capsys):
@@ -333,6 +402,19 @@ def test_selftest_subset(capsys):
         pytest.param(
             ("identity", "sweep", "--seed", "1", "--trials", "-1"), {},
             "--trials must be at least 1", id="sweep-negative-trials",
+        ),
+        pytest.param(
+            ("identity", "sweep", "--seed", "1", "--trials", "100000"), {},
+            "could not draw 100000 thm1 instances in 200000 attempts",
+            id="sweep-sampler-exhausted",
+        ),
+        pytest.param(
+            ("identity", "thm1", "--params", "10,-1,7,-1,-2,29"), {},
+            "matrix size k must be at most 28, got 29", id="thm1-k-above-cap",
+        ),
+        pytest.param(
+            ("identity", "thm2", "--params", "4,1,1,1,6,29"), {},
+            "matrix size n must be at most 28, got 29", id="thm2-n-above-cap",
         ),
         pytest.param(
             ("identities", "--samples", "-3", "--seed", "1"), {},

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quasi3 import _pypaths, paths
 from quasi3.arith import binom
+from quasi3.linsys import MAX_ORDER
 from quasi3.paths import (
     BudgetExceeded,
     FamilyProblem,
@@ -310,6 +311,12 @@ def test_thm2_grid_is_deterministic_and_applicable():
         assert thm2_instance_applicable(*inst)
         report = verify_thm2(*inst)
         assert report.checked and report.equal
+
+
+def test_identity_matrix_size_max_order_accepted():
+    # the CLI usage-error rows check that MAX_ORDER + 1 is refused
+    assert verify_thm2(4, 1, 1, 1, 6, MAX_ORDER).checked
+    assert len(verify_thm1(10, -1, 7, -1, -2, MAX_ORDER).entries) == MAX_ORDER
 
 
 def test_sample_thm1_instances_deterministic():
