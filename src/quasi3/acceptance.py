@@ -239,23 +239,15 @@ def criterion_8():
     checked = 0
     for m in range(1, 4):
         for d in (3 * m + 1, 3 * m + 2):
-            for f in range(1, m + 1):
+            blocks = linsys.extract_blocks(m, d).all_blocks()
+            for f, block in enumerate(blocks, start=1):
                 params = paths.block_instance_params(m, f, d)
                 report = paths.verify_thm1(*params)
                 if not (report.checked and report.equal):
                     return False, f"block params {params}: {report.note}"
-                block = linsys.extract_blocks(m, d).leading[f - 1]
                 if report.det != linsys.det_exact(block):
                     return False, f"block params {params}: det mismatch"
                 checked += 1
-            params = paths.final_block_instance_params(m, d)
-            report = paths.verify_thm1(*params)
-            if not (report.checked and report.equal):
-                return False, f"final block params {params}: {report.note}"
-            final = linsys.extract_blocks(m, d).final
-            if report.det != linsys.det_exact(final):
-                return False, f"final block params {params}: det mismatch"
-            checked += 1
     rng = random.Random(20260815)
     sampled = paths.sample_thm1_instances(rng, 50)
     for params in sampled:

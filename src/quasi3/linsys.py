@@ -12,11 +12,12 @@ Conventions, fixed once here and relied on everywhere else:
   column [m, m].  The result is square of size m(m+3)/2 and block lower
   triangular in the ordering above.
 
-* extract_blocks returns the m+1 diagonal blocks: for f = 1..m the f x f
-  block with rows k = f-1 and columns [f-1, 0..f-1], then the final m x m
-  block with rows k = m and columns [m, 0..m-1].  Blocks are computed from
-  closed binomial formulas; tests confirm they equal the corresponding
-  submatrices of restrict_Bm.
+* extract_blocks returns the m+1 diagonal blocks f = 1..m+1, block f of
+  size min(f, m) with rows k = f-1 and columns [f-1, 0..min(f, m)-1];
+  f = m+1 is the final block.  Block f starts at row and column
+  f(f-1)/2 of restrict_Bm.  Blocks are computed from one closed binomial
+  formula; tests confirm they equal the corresponding submatrices of
+  restrict_Bm.
 
 * The exact solvers share one fraction-free integer elimination loop,
   _eliminate.  rref clears every other row; det_exact and rank stop at
@@ -151,63 +152,46 @@ class BlockSet:
 
 
 def extract_blocks(m: int, d: int) -> BlockSet:
-    """Diagonal blocks from closed binomial formulas.
+    """Diagonal blocks from one closed binomial formula.
 
-    Leading block f entry (i, j), 1-based:
-        binom(d - (j-1) - (f-1), 2m+1-2i) - binom(j-1, 2m+1-2i)
-    Final block entry (i, j):
-        binom(d - m - (j-1), 2m+1-2i) - binom(j-1, 2m+1-2i)
+    Block f = 1..m+1 has size min(f, m) and entry (i, j), 1-based,
+        binom(d+1-f-(j-1), 2m+1-2i) - binom(j-1, 2m+1-2i);
+    f = m+1 is the final block.
     """
     if m < 1:
         raise ValueError("blocks require m >= 1")
     _check_order_degree(m, d)
-    leading = []
-    for f in range(1, m + 1):
-        block = tuple(
-            tuple(
-                binom(d - (j - 1) - (f - 1), 2 * m + 1 - 2 * i)
-                - binom(j - 1, 2 * m + 1 - 2 * i)
-                for j in range(1, f + 1)
-            )
-            for i in range(1, f + 1)
-        )
-        leading.append(block)
-    final = tuple(
+    blocks = tuple(
         tuple(
-            binom(d - m - (j - 1), 2 * m + 1 - 2 * i)
-            - binom(j - 1, 2 * m + 1 - 2 * i)
-            for j in range(1, m + 1)
+            tuple(
+                binom(d + 1 - f - (j - 1), 2 * m + 1 - 2 * i)
+                - binom(j - 1, 2 * m + 1 - 2 * i)
+                for j in range(1, min(f, m) + 1)
+            )
+            for i in range(1, min(f, m) + 1)
         )
-        for i in range(1, m + 1)
+        for f in range(1, m + 2)
     )
-    return BlockSet(m=m, d=d, leading=tuple(leading), final=final)
+    return BlockSet(m=m, d=d, leading=blocks[:-1], final=blocks[-1])
 
 
 def diagonal_blocks(sys: CoeffSystem):
-    """Slice the diagonal blocks directly out of a restricted system.
+    """Slice the diagonal blocks directly out of a restricted system:
+    block f = 1..m+1 starts at row and column f(f-1)/2, size min(f, m).
 
     Independent of extract_blocks; used to confirm the closed formulas.
     """
     m = sys.m
-    blocks = []
-    row0 = 0
-    for f in range(1, m + 1):
-        col0 = f * (f - 1) // 2
-        blocks.append(
-            tuple(
-                tuple(sys.entries[row0 + i][col0 + j] for j in range(f))
-                for i in range(f)
-            )
-        )
-        row0 += f
-    col0 = m * (m + 1) // 2
-    blocks.append(
+    return tuple(
         tuple(
-            tuple(sys.entries[row0 + i][col0 + j] for j in range(m))
-            for i in range(m)
+            tuple(
+                sys.entries[f * (f - 1) // 2 + i][f * (f - 1) // 2 + j]
+                for j in range(min(f, m))
+            )
+            for i in range(min(f, m))
         )
+        for f in range(1, m + 2)
     )
-    return tuple(blocks)
 
 
 # --- exact linear algebra --------------------------------------------------

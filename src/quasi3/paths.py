@@ -110,12 +110,6 @@ def count_paths_dp(problem: PathProblem) -> int:
     return dp_count(x0, y0, x1, y1, problem.barrier)
 
 
-def count_paths_free(problem: PathProblem) -> int:
-    """Path count without any barrier: one binomial."""
-    (x0, y0), (x1, y1) = problem.start, problem.end
-    return binom((x0 - x1) + (y1 - y0), x0 - x1)
-
-
 def single_path_formula(s: int, h: int, L) -> int:
     """Reflection closed form for (s, s) -> (0, h) avoiding x + y == L."""
     if L is None:
@@ -326,21 +320,13 @@ def verify_thm1(C, D, E, alpha, beta, k, budget=None) -> Thm1Report:
 
 
 def block_instance_params(m: int, f: int, d: int):
-    """Identity parameters whose matrix is the transpose of leading block f."""
-    if not (1 <= f <= m):
-        raise ValueError("need 1 <= f <= m")
+    """Identity parameters whose matrix is the transpose of block f,
+    f = 1..m+1; f = m+1 is the final block."""
+    if m < 1 or not (1 <= f <= m + 1):
+        raise ValueError("need m >= 1 and 1 <= f <= m+1")
     if d not in (3 * m + 1, 3 * m + 2):
         raise ValueError(f"degree must be {3 * m + 1} or {3 * m + 2}")
-    return (d + 2 - f, -1, 2 * m + 1, -1, -2, f)
-
-
-def final_block_instance_params(m: int, d: int):
-    """Identity parameters whose matrix is the transpose of the final block."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if d not in (3 * m + 1, 3 * m + 2):
-        raise ValueError(f"degree must be {3 * m + 1} or {3 * m + 2}")
-    return (d - m + 1, -1, 2 * m + 1, -1, -2, m)
+    return (d + 2 - f, -1, 2 * m + 1, -1, -2, min(f, m))
 
 
 # --- instance generators ----------------------------------------------------

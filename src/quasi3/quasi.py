@@ -34,7 +34,6 @@ from .poly import (
     TRANSPOSITIONS,
     Polynomial,
     elementary,
-    term_key,
     vandermonde,
 )
 
@@ -135,26 +134,14 @@ def is_quasiinvariant(P: Polynomial, m: int) -> QuasiReport:
     need = 2 * m + 1
     checks = []
     for (i, j), perm in TRANSPOSITIONS.items():
-        diff = P - P.apply_perm(perm)
-        if diff.is_zero():
-            checks.append(
-                TranspositionCheck(
-                    pair=(i, j),
-                    difference_zero=True,
-                    largest_power=None,
-                    required_power=need,
-                    divisible=True,
-                )
-            )
-            continue
-        power = largest_dividing_power(diff, i, j)
+        power = largest_dividing_power(P - P.apply_perm(perm), i, j)
         checks.append(
             TranspositionCheck(
                 pair=(i, j),
-                difference_zero=False,
+                difference_zero=power is None,
                 largest_power=power,
                 required_power=need,
-                divisible=power >= need,
+                divisible=power is None or power >= need,
             )
         )
     return QuasiReport(m=m, checks=tuple(checks))
@@ -205,12 +192,44 @@ def coinvariant_nf(P: Polynomial):
 
 def monomials_of_degree(d: int):
     """Degree-d exponent triples in canonical order (graded lex, descending)."""
-    monos = [
+    return [
         (a, b, d - a - b)
         for a in range(d, -1, -1)
         for b in range(d - a, -1, -1)
     ]
-    return sorted(monos, key=term_key, reverse=True)
+
+
+def _taylor_kernel(columns, count: int):
+    """Null space of the Taylor conditions on unknown coefficients.
+
+    columns maps a pair (i, j) to one integer-term list per unknown.  The
+    rows say that the coefficients of t^0 .. t^(count-1) vanish, with
+    x_i = x_j + t, in the combination of those term lists; there is one
+    row per (pair, r, monomial), built on integers.
+    """
+    ncols = len(next(iter(columns.values())))
+    row_map = {}
+    for (i, j), unknowns in columns.items():
+        for pos, terms in enumerate(unknowns):
+            for r in range(count):
+                for exp, num in _shift_coefficient(terms, i, j, r).items():
+                    if num:
+                        key = ((i, j), r, exp)
+                        row_map.setdefault(key, [0] * ncols)[pos] += num
+    matrix = [row_map[key] for key in sorted(row_map)]
+    return nullspace_vectors(matrix, ncols)
+
+
+def _independent_of(generators, polys, monos) -> bool:
+    """Adding polys to the generators raises the rank of their
+    coordinates on monos by len(polys)."""
+
+    def coordinates(Q):
+        return [Q.coefficient(mono) for mono in monos]
+
+    vectors = [coordinates(Q) for Q in generators]
+    new = [coordinates(P) for P in polys]
+    return rank(vectors + new) == rank(vectors) + len(new)
 
 
 def graded_qi_basis(m: int, d: int):
@@ -226,33 +245,17 @@ def graded_qi_basis(m: int, d: int):
     if m < 0 or d < 0:
         raise ValueError("m and d must be nonnegative")
     monos = monomials_of_degree(d)
-    need = 2 * m + 1
-    row_map = {}
+    columns = {}
     for i, j in TRANSPOSITIONS:
-        for pos, mono in enumerate(monos):
+        columns[(i, j)] = []
+        for mono in monos:
             swapped = list(mono)
             swapped[i - 1], swapped[j - 1] = mono[j - 1], mono[i - 1]
-            diff = [(mono, 1), (tuple(swapped), -1)]
-            for r in range(min(need, d + 1)):
-                for exp, num in _shift_coefficient(diff, i, j, r).items():
-                    if num:
-                        key = ((i, j), r, exp)
-                        row_map.setdefault(key, [0] * len(monos))[pos] += num
-    matrix = [row_map[key] for key in sorted(row_map)]
-    vectors = nullspace_vectors(matrix, len(monos))
+            columns[(i, j)].append([(mono, 1), (tuple(swapped), -1)])
     return [
         Polynomial({monos[pos]: c for pos, c in enumerate(v) if c})
-        for v in vectors
+        for v in _taylor_kernel(columns, 2 * m + 1)
     ]
-
-
-def _coeff_vector(P: Polynomial, monos, index):
-    v = [Fraction(0)] * len(monos)
-    for exp, coeff in P.terms.items():
-        if exp not in index:
-            raise ValueError("polynomial leaves the expected graded slice")
-        v[index[exp]] = coeff
-    return v
 
 
 def independent_modulo_ideal(polys, m: int) -> bool:
@@ -269,16 +272,13 @@ def independent_modulo_ideal(polys, m: int) -> bool:
     if len(degrees) != 1:
         raise ValueError("polynomials must share one degree")
     d = degrees.pop()
-    monos = monomials_of_degree(d)
-    index = {mono: pos for pos, mono in enumerate(monos)}
-    vectors = [
-        _coeff_vector(elementary(k) * Q, monos, index)
+    generators = [
+        elementary(k) * Q
         for k in (1, 2, 3)
         if k <= d
         for Q in graded_qi_basis(m, d - k)
     ]
-    new = [_coeff_vector(P, monos, index) for P in polys]
-    return rank(vectors + new) == rank(vectors) + len(new)
+    return _independent_of(generators, polys, monomials_of_degree(d))
 
 
 # --- the antisymmetric component --------------------------------------------
@@ -316,19 +316,12 @@ def antisymmetric_qi_basis(m: int, d: int):
     if d < 3:
         return []
     supports = [set(permutations(lam)) for lam in _partitions3(d - 3)]
-    row_map = {}
-    for pos, support in enumerate(supports):
-        terms = [(exp, 1) for exp in support]
-        for r in range(2 * m):
-            for exp, num in _shift_coefficient(terms, 1, 2, r).items():
-                if num:
-                    row_map.setdefault((r, exp), [0] * len(supports))[pos] += num
-    matrix = [row_map[key] for key in sorted(row_map)]
+    columns = {(1, 2): [[(exp, 1) for exp in support] for support in supports]}
     delta = vandermonde()
     return [
         delta
         * Polynomial({exp: c for support, c in zip(supports, v) for exp in support})
-        for v in nullspace_vectors(matrix, len(supports))
+        for v in _taylor_kernel(columns, 2 * m)
     ]
 
 
@@ -351,17 +344,13 @@ def antisymmetric_independent_modulo_ideal(P: Polynomial, m: int) -> bool:
     if P.apply_perm(S12) != -P or P.apply_perm(S23) != -P:
         raise ValueError("need an antisymmetric polynomial")
     d = P.degree()
-    monos = [exp for exp in monomials_of_degree(d) if exp[0] > exp[1] > exp[2]]
-
-    def coordinates(Q):
-        return [Q.coefficient(mono) for mono in monos]
-
-    vectors = [
-        coordinates(elementary(k) * A)
+    generators = [
+        elementary(k) * A
         for k in (1, 2, 3)
         for A in antisymmetric_qi_basis(m, d - k)
     ]
-    return rank(vectors + [coordinates(P)]) == rank(vectors) + 1
+    monos = [exp for exp in monomials_of_degree(d) if exp[0] > exp[1] > exp[2]]
+    return _independent_of(generators, [P], monos)
 
 
 # --- dimension series -------------------------------------------------------

@@ -279,6 +279,41 @@ def test_identity_sweep_deterministic(capsys):
             "a11fde7376cb59d3ac9f34ad5ef0e4ae6a46375b53308f396c3350437d40b835",
             id="check-m2-json",
         ),
+        pytest.param(
+            "blocks --m 1 --d 4", 0,
+            "b0a3fbee487d6e94d736e54f3997cbcbefbaca327c87e0d0dbecce1bc1fac783",
+            id="blocks-m1-text",
+        ),
+        pytest.param(
+            "blocks --m 5 --d 17 --format json", 0,
+            "0927176dc262c4e54c3434682967dbf3f5722c3733f87003e16422d8b9b39024",
+            id="blocks-m5-json",
+        ),
+        pytest.param(
+            "system --m 4 --d 14 --restrict-bm --blocks --format json", 0,
+            "fc8c8c6a4738ae1483e602b43d9b9881beb8465e63e08441a00b0476be3d09f5",
+            id="system-blocks-m4-json",
+        ),
+        pytest.param(
+            "dims --m 2 --max-degree 14 --format json", 0,
+            "9251b329cf2b5895276c3c123fdc80ce67872d0423137f91b37409a14ce41849",
+            id="dims-m2-json",
+        ),
+        pytest.param(
+            "basis --m 0 --verify full", 0,
+            "acdf6d6a35121b236fbf7126e3c98020195dbdddd4088836b2669ab33646aad1",
+            id="basis-m0-full-text",
+        ),
+        pytest.param(
+            "basis --m 2 --verify full --format json", 0,
+            "d23a0c5db0e76f5674e7936fb700d69abaa25c571efe4894827c57cf7bedd17d",
+            id="basis-m2-full-json",
+        ),
+        pytest.param(
+            "basis --m 3 --verify full", 0,
+            "8fb927699a9f1cdc4572c2233f060def5c13151b6d0047c07044c6af062307e6",
+            id="basis-m3-full-text",
+        ),
     ],
 )
 def test_stdout_golden(capsys, tmp_path, argv, code, digest):

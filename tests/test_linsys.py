@@ -314,15 +314,13 @@ def test_restricted_system_m1_golden():
 
 
 def test_extract_blocks_match_submatrices():
-    for m in (1, 2, 3):
+    for m in range(1, 9):
         for d in (3 * m + 1, 3 * m + 2):
             closed = extract_blocks(m, d)
             sliced = diagonal_blocks(restrict_Bm(build_system(m, d)))
             assert len(closed.leading) == m
-            for got, want in zip(closed.all_blocks(), sliced):
-                assert [list(map(int, r)) for r in got] == [
-                    list(map(int, r)) for r in want
-                ]
+            assert len(sliced) == m + 1
+            assert closed.all_blocks() == sliced
 
 
 def test_block_determinant_product_equals_full_determinant():

@@ -16,8 +16,6 @@ from quasi3.paths import (
     count_families_bruteforce,
     count_paths_dp,
     count_paths_formula,
-    count_paths_free,
-    final_block_instance_params,
     formula_applicable,
     sample_thm1_instances,
     single_path_formula,
@@ -62,7 +60,6 @@ def test_dp_free_count_is_binomial():
         for h in range(s, 10):
             problem = PathProblem(start=(s, s), end=(0, h))
             assert count_paths_dp(problem) == binom(h, s)
-            assert count_paths_free(problem) == binom(h, s)
 
 
 def test_dp_unreachable_is_zero():
@@ -277,29 +274,28 @@ def test_block_instances_reproduce_block_determinants():
 
     for m in (1, 2, 3):
         for d in (3 * m + 1, 3 * m + 2):
-            blocks = extract_blocks(m, d)
-            for f in range(1, m + 1):
+            blocks = extract_blocks(m, d).all_blocks()
+            assert len(blocks) == m + 1
+            for f, block in enumerate(blocks, start=1):
                 params = block_instance_params(m, f, d)
                 report = verify_thm1(*params)
-                assert report.det == det_exact(blocks.leading[f - 1])
+                assert report.det == det_exact(block)
                 if report.checked:
                     assert report.equal
-            params = final_block_instance_params(m, d)
-            report = verify_thm1(*params)
-            assert report.det == det_exact(blocks.final)
-            if report.checked:
-                assert report.equal
 
 
 def test_block_instance_param_validation():
     with pytest.raises(ValueError):
         block_instance_params(2, 0, 7)
     with pytest.raises(ValueError):
-        block_instance_params(2, 3, 7)
+        block_instance_params(2, 4, 7)
     with pytest.raises(ValueError):
         block_instance_params(2, 1, 9)
     with pytest.raises(ValueError):
-        final_block_instance_params(0, 1)
+        block_instance_params(0, 1, 1)
+    # f = m+1 is the final block
+    assert block_instance_params(3, 4, 10) == (8, -1, 7, -1, -2, 3)
+    assert block_instance_params(2, 3, 8) == (7, -1, 5, -1, -2, 2)
 
 
 def test_thm2_grid_is_deterministic_and_applicable():

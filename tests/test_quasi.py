@@ -10,6 +10,7 @@ from quasi3.poly import (
     Polynomial,
     elementary,
     parse_poly,
+    term_key,
     vandermonde,
     vandermonde_power,
 )
@@ -144,6 +145,10 @@ def test_monomials_of_degree():
     assert mons[0] == (2, 0, 0)
     assert all(sum(e) == 2 for e in mons)
     assert len(monomials_of_degree(0)) == 1
+    # graded_qi_basis normalises in this order, so it must be canonical
+    for d in range(13):
+        mons = monomials_of_degree(d)
+        assert mons == sorted(mons, key=term_key, reverse=True)
 
 
 def test_graded_basis_dimensions_match_series():
