@@ -47,8 +47,8 @@ GOLDEN_BLOCKS_M3 = (
     ((252,),),
     ((126, 56), (84, 56)),
     ((56, 21, 6), (56, 35, 20), (8, 6, 4)),
+    ((21, 6, 1), (35, 20, 10), (7, 5, 3)),
 )
-GOLDEN_FINAL_M3 = ((21, 6, 1), (35, 20, 10), (7, 5, 3))
 
 GOLDEN_DIMS_M1 = [1, 1, 2, 3, 6, 9, 13, 18, 24, 31]
 
@@ -129,9 +129,8 @@ def criterion_2():
         and sub.entries == GOLDEN_MATRIX_M3
     )
     blocks = linsys.extract_blocks(3, 10)
-    ok = ok and blocks.leading == GOLDEN_BLOCKS_M3
-    ok = ok and blocks.final == GOLDEN_FINAL_M3
-    ok = ok and linsys.diagonal_blocks(sub) == blocks.all_blocks()
+    ok = ok and blocks == GOLDEN_BLOCKS_M3
+    ok = ok and linsys.diagonal_blocks(sub) == blocks
     return ok, "9x9 matrix and 4 blocks exact"
 
 
@@ -239,8 +238,7 @@ def criterion_8():
     checked = 0
     for m in range(1, 4):
         for d in (3 * m + 1, 3 * m + 2):
-            blocks = linsys.extract_blocks(m, d).all_blocks()
-            for f, block in enumerate(blocks, start=1):
+            for f, block in enumerate(linsys.extract_blocks(m, d), start=1):
                 params = paths.block_instance_params(m, f, d)
                 report = paths.verify_thm1(*params)
                 if not (report.checked and report.equal):

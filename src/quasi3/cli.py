@@ -1,9 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success (all requested verdicts passing, budget-skipped
-checks report as unchecked), 1 a mathematical verdict failed, 2 usage or
-input errors.  All output is deterministic for a fixed argument list and
-seed.
+Exit codes: 0 success (all requested verdicts passing; a path family
+too large or too deep to enumerate reports as unchecked), 1 a
+mathematical verdict failed, 2 usage or input errors.  All output is
+deterministic for a fixed argument list and seed.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def _quasi_report_obj(report):
 
 def _print_blocks(blocks, dets=None):
     """Print each diagonal block, smallest first, with its det when given."""
-    for f, b in enumerate(blocks.all_blocks(), start=1):
-        label = "final block" if f > len(blocks.leading) else f"block {f}"
+    for f, b in enumerate(blocks, start=1):
+        label = "final block" if f == len(blocks) else f"block {f}"
         det = "" if dets is None else f" (det {dets[f - 1]})"
         print(f"{label}{det}:")
         print(_format_matrix(b))
@@ -177,7 +177,7 @@ def cmd_system(args) -> int:
     if args.format == "json":
         obj = shown.to_json_obj()
         if args.blocks:
-            obj["blocks"] = [_str_rows(b) for b in blocks.all_blocks()]
+            obj["blocks"] = [_str_rows(b) for b in blocks]
         _print_json(obj)
     else:
         name = "restricted system" if args.restrict_bm else "full system"
@@ -190,13 +190,13 @@ def cmd_system(args) -> int:
 
 def cmd_blocks(args) -> int:
     blocks = linsys.extract_blocks(args.m, args.d)
-    dets = [linsys.det_exact(b) for b in blocks.all_blocks()]
+    dets = [linsys.det_exact(b) for b in blocks]
     if args.format == "json":
         _print_json(
             {
-                "m": blocks.m,
-                "d": blocks.d,
-                "blocks": [_str_rows(b) for b in blocks.all_blocks()],
+                "m": args.m,
+                "d": args.d,
+                "blocks": [_str_rows(b) for b in blocks],
                 "determinants": [str(x) for x in dets],
             }
         )
@@ -209,7 +209,7 @@ def cmd_det(args) -> int:
     sub = linsys.restrict_Bm(linsys.build_system(args.m, args.d))
     blocks = linsys.extract_blocks(args.m, args.d)
     det = linsys.det_exact(sub.entries)
-    block_dets = [linsys.det_exact(b) for b in blocks.all_blocks()]
+    block_dets = [linsys.det_exact(b) for b in blocks]
     product = math.prod(block_dets, start=Fraction(1))
     agree = det == product
     if args.format == "json":

@@ -138,21 +138,9 @@ def restrict_Bm(sys: CoeffSystem) -> CoeffSystem:
     )
 
 
-@dataclass(frozen=True)
-class BlockSet:
-    """Diagonal blocks of the restricted system, smallest first."""
-
-    m: int
-    d: int
-    leading: tuple  # f x f matrices for f = 1..m
-    final: tuple  # the m x m block
-
-    def all_blocks(self):
-        return self.leading + (self.final,)
-
-
-def extract_blocks(m: int, d: int) -> BlockSet:
-    """Diagonal blocks from one closed binomial formula.
+def extract_blocks(m: int, d: int):
+    """The m+1 diagonal blocks, smallest first, from one closed binomial
+    formula.
 
     Block f = 1..m+1 has size min(f, m) and entry (i, j), 1-based,
         binom(d+1-f-(j-1), 2m+1-2i) - binom(j-1, 2m+1-2i);
@@ -161,7 +149,7 @@ def extract_blocks(m: int, d: int) -> BlockSet:
     if m < 1:
         raise ValueError("blocks require m >= 1")
     _check_order_degree(m, d)
-    blocks = tuple(
+    return tuple(
         tuple(
             tuple(
                 binom(d + 1 - f - (j - 1), 2 * m + 1 - 2 * i)
@@ -172,7 +160,6 @@ def extract_blocks(m: int, d: int) -> BlockSet:
         )
         for f in range(1, m + 2)
     )
-    return BlockSet(m=m, d=d, leading=blocks[:-1], final=blocks[-1])
 
 
 def diagonal_blocks(sys: CoeffSystem):

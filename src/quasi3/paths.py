@@ -11,7 +11,8 @@ Three routes to the same numbers, kept deliberately separate:
   L is not strictly between the endpoint line-sums 2s and h
   (formula_applicable decides this).
 * count_families_bruteforce: exhaustive enumeration of pairwise
-  vertex-disjoint path tuples, with a product-of-counts budget guard.
+  vertex-disjoint path tuples, guarded by the fixed ENUMERATION_BUDGET
+  on the product of the single-path counts.
 
 verify_thm2 checks det[ binom(a+bi, c+dj) - binom(a+bi, e-dj) ] against
 the family count for starts (c+dj, c+dj), ends (0, a+bi), barrier c+e.
@@ -24,7 +25,6 @@ The counting kernels live in _pypaths.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -32,23 +32,10 @@ from ._pypaths import BudgetExceeded, dp_count, family_count, guard_product
 from .arith import binom
 from .linsys import MAX_ORDER, det_exact
 
-DEFAULT_BUDGET = 10**7
+# Largest guard_product a family enumeration may visit.
+ENUMERATION_BUDGET = 10**7
 # Sweeps keep only instances whose guard_product is at most this.
 SWEEP_PRODUCT_CAP = 200000
-
-
-def enumeration_budget() -> int:
-    """Default family enumeration budget; QUASI3_BUDGET overrides."""
-    raw = os.environ.get("QUASI3_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value <= 0:
-        raise ValueError(f"QUASI3_BUDGET must be positive, got {raw!r}")
-    return value
 
 
 def _check_point(pt):
@@ -131,15 +118,16 @@ def count_paths_formula(a, b, c, d, e, i, j) -> int:
     return single_path_formula(c + d * j, a + b * i, c + e)
 
 
-def count_families_bruteforce(problem: FamilyProblem, budget=None) -> int:
+def count_families_bruteforce(problem: FamilyProblem) -> int:
     """Exhaustively count pairwise vertex-disjoint path families.
 
     Raises BudgetExceeded when the product of the individual path counts
-    is larger than the budget (default enumeration_budget()).
+    is larger than ENUMERATION_BUDGET.  The walk recurses once per
+    lattice step, so a long enough path raises RecursionError.
     """
-    if budget is None:
-        budget = enumeration_budget()
-    return family_count(problem.starts, problem.ends, problem.barrier, budget)
+    return family_count(
+        problem.starts, problem.ends, problem.barrier, ENUMERATION_BUDGET
+    )
 
 
 # --- determinant identity: diagonal starts, axis ends ----------------------
@@ -184,24 +172,30 @@ class Thm2Report:
     note: str = ""
 
 
-def _count_family(report, factor, budget):
-    """Count the report's path family and record the outcome.
+def _count_family(report, factor):
+    """Count the report's path family and compare det with factor * count.
 
-    Unusable endpoints or an exceeded budget leave the report unchecked
-    with a note saying why; otherwise det is compared with factor * count.
+    The one place a report is left unchecked, with a note saying why: no
+    factor (thm1's prefactor denominator vanishes), unusable endpoints,
+    a family over ENUMERATION_BUDGET, or a walk deeper than the recursion
+    limit.  Writes only note, family_count, checked and equal; never
+    applicable, which formula_applicable already makes False wherever
+    FamilyProblem refuses the endpoints.
     """
+    if factor is None:
+        return replace(report, note="prefactor denominator vanishes")
     try:
         problem = FamilyProblem(
             starts=report.starts, ends=report.ends, barrier=report.barrier
         )
     except ValueError as exc:
-        return replace(
-            report, applicable=False, note=f"family endpoints unusable: {exc}"
-        )
+        return replace(report, note=f"family endpoints unusable: {exc}")
     try:
-        count = count_families_bruteforce(problem, budget=budget)
+        count = count_families_bruteforce(problem)
     except BudgetExceeded as exc:
         return replace(report, note=str(exc))
+    except RecursionError:
+        return replace(report, note="family walk deeper than the recursion limit")
     return replace(
         report,
         family_count=count,
@@ -218,7 +212,7 @@ def _check_size(name, size):
         raise ValueError(f"matrix size {name} must be at most {MAX_ORDER}, got {size}")
 
 
-def verify_thm2(a, b, c, d, e, n, budget=None) -> Thm2Report:
+def verify_thm2(a, b, c, d, e, n) -> Thm2Report:
     """Compare the determinant with the brute-force family count."""
     _check_size("n", n)
     entries = tuple(
@@ -235,7 +229,7 @@ def verify_thm2(a, b, c, d, e, n, budget=None) -> Thm2Report:
         barrier=L,
         applicable=thm2_instance_applicable(a, b, c, d, e, n),
     )
-    return _count_family(report, 1, budget)
+    return _count_family(report, 1)
 
 
 # --- determinant identity: prefactor times family count --------------------
@@ -280,7 +274,7 @@ class Thm1Report(Thm2Report):
     inner_params: tuple
 
 
-def verify_thm1(C, D, E, alpha, beta, k, budget=None) -> Thm1Report:
+def verify_thm1(C, D, E, alpha, beta, k) -> Thm1Report:
     """Compare the determinant with prefactor * family count."""
     _check_size("k", k)
     entries = tuple(
@@ -311,9 +305,7 @@ def verify_thm1(C, D, E, alpha, beta, k, budget=None) -> Thm1Report:
         barrier=L,
         applicable=thm1_applicable(C, D, E, alpha, beta, k),
     )
-    if prefactor is None:
-        return replace(report, note="prefactor denominator vanishes")
-    return _count_family(report, prefactor, budget)
+    return _count_family(report, prefactor)
 
 
 # --- block-derived instances ------------------------------------------------

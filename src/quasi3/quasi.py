@@ -70,26 +70,6 @@ def _shift_coefficient(terms, i: int, j: int, r: int):
     return out
 
 
-def taylor_coefficients(P: Polynomial, i: int, j: int, count: int):
-    """Coefficients c_0 .. c_(count-1) of P expanded in t = x_i - x_j.
-
-    Substituting x_i = x_j + t writes P = sum_r c_r (x_i - x_j)^r with
-    every c_r free of x_i, so (x_i - x_j)^p divides P exactly when
-    c_0 .. c_(p-1) all vanish.  Each term expands by the binomial
-    theorem; no polynomial products are formed.
-    """
-    _check_pair(i, j)
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    den, terms = _integer_terms(P)
-    return [
-        Polynomial(
-            {k: Fraction(v, den) for k, v in _shift_coefficient(terms, i, j, r).items()}
-        )
-        for r in range(count)
-    ]
-
-
 def largest_dividing_power(P: Polynomial, i: int, j: int):
     """Largest p with (x_i - x_j)^p | P, or None when P is zero.
 

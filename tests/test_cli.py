@@ -314,6 +314,36 @@ def test_identity_sweep_deterministic(capsys):
             "8fb927699a9f1cdc4572c2233f060def5c13151b6d0047c07044c6af062307e6",
             id="basis-m3-full-text",
         ),
+        pytest.param(
+            "identity thm2 --params=-5,1,1,1,6,2 --format json", 0,
+            "5a4b5e8b81cad5b4c3324c4a77e7067313cb77c9db37cc43980325dbe548f361",
+            id="thm2-unusable-endpoints-json",
+        ),
+        pytest.param(
+            "identity thm2 --params 29,1,9,1,100,1", 0,
+            "f123eb66c9ea7cbad760b64b270fcc419ed6c86558ff35f4b98d9dfd8f8cfdb7",
+            id="thm2-over-budget-text",
+        ),
+        pytest.param(
+            "identity thm1 --params 10,-1,7,-1,2,2 --format json", 0,
+            "c3a3afd6c1c39af0d803744d1be709edd7fafccd8ed8bc8590b04a1c36f5c423",
+            id="thm1-unusable-endpoints-json",
+        ),
+        pytest.param(
+            "identity thm1 --params 19,-1,13,-1,-2,6 --format json", 0,
+            "465d56895feb04ba4f77ce4a4f665f3dac17d34262b1e07481344b28dd1ea8ce",
+            id="thm1-over-budget-json",
+        ),
+        pytest.param(
+            "blocks --m 2 --d 7", 0,
+            "00ec872b4fd5061d85d0a8c71e4efdef70f0e16a41cf0487b023bc2298de38a5",
+            id="blocks-m2-text",
+        ),
+        pytest.param(
+            "det --m 4 --d 13 --format json", 0,
+            "8a3e6ad44aba24d5c74743f1a830d4ec0e23ca94f7d3c691d9b73b152b4f07c7",
+            id="det-m4-json",
+        ),
     ],
 )
 def test_stdout_golden(capsys, tmp_path, argv, code, digest):
@@ -352,114 +382,104 @@ def test_selftest_subset(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, env, message",
+    "argv, message",
     [
         pytest.param(
-            ("paths", "count", "--start", "2", "--end", "0,6"), {},
+            ("paths", "count", "--start", "2", "--end", "0,6"),
             "point must be X,Y", id="paths-bad-point",
         ),
         pytest.param(
-            ("paths", "count", "--start", "a,b", "--end", "0,6"), {},
+            ("paths", "count", "--start", "a,b", "--end", "0,6"),
             "--start point must be X,Y with integer X and Y, got 'a,b'",
             id="paths-non-integer-start",
         ),
         pytest.param(
-            ("paths", "count", "--start", "2,2", "--end", "0,y"), {},
+            ("paths", "count", "--start", "2,2", "--end", "0,y"),
             "--end point must be X,Y with integer X and Y, got '0,y'",
             id="paths-non-integer-end",
         ),
         pytest.param(
-            ("identity", "thm1", "--params", "1,2,3"), {},
+            ("identity", "thm1", "--params", "1,2,3"),
             "needs 6", id="thm1-short-params",
         ),
         pytest.param(
-            ("identity", "thm1", "--params", "1,2,3,4,5,x"), {},
+            ("identity", "thm1", "--params", "1,2,3,4,5,x"),
             "thm1 needs 6 comma-separated integers, got '1,2,3,4,5,x'",
             id="thm1-non-integer-params",
         ),
         pytest.param(
-            ("identity", "thm2", "--params", "4,1,1.5,1,6,2"), {},
+            ("identity", "thm2", "--params", "4,1,1.5,1,6,2"),
             "thm2 needs 6 comma-separated integers, got '4,1,1.5,1,6,2'",
             id="thm2-non-integer-params",
         ),
         pytest.param(
-            ("identity", "thm2", "--params", "1,2,3"), {},
+            ("identity", "thm2", "--params", "1,2,3"),
             "needs 6", id="thm2-short-params",
         ),
         pytest.param(
-            ("check", "--m", "1", "--poly", "/nonexistent/poly.txt"), {},
+            ("check", "--m", "1", "--poly", "/nonexistent/poly.txt"),
             "cannot read polynomial file", id="check-missing-poly",
         ),
         pytest.param(
-            ("det", "--m", "0", "--d", "1"), {},
+            ("det", "--m", "0", "--d", "1"),
             "requires m >= 1", id="det-m0",
         ),
         pytest.param(
-            ("blocks", "--m", "0", "--d", "1"), {},
+            ("blocks", "--m", "0", "--d", "1"),
             "require m >= 1", id="blocks-m0",
         ),
         pytest.param(
-            ("system", "--m", "2", "--d", "5"), {},
+            ("system", "--m", "2", "--d", "5"),
             "degree must be 7 or 8", id="system-bad-degree",
         ),
         pytest.param(
-            ("det", "--m", "29", "--d", "88"), {},
+            ("det", "--m", "29", "--d", "88"),
             "m must be at most 28, got 29", id="det-m-above-cap",
         ),
         pytest.param(
-            ("blocks", "--m", "29", "--d", "89"), {},
+            ("blocks", "--m", "29", "--d", "89"),
             "m must be at most 28, got 29", id="blocks-m-above-cap",
         ),
         pytest.param(
-            ("identity", "thm2", "--params", "4,1,1,1,6,2"), {"QUASI3_BUDGET": "0"},
-            "QUASI3_BUDGET must be positive", id="thm2-zero-budget",
-        ),
-        pytest.param(
-            ("identity", "thm2", "--params", "4,1,1,1,6,2"), {"QUASI3_BUDGET": "abc"},
-            "QUASI3_BUDGET must be positive, got 'abc'", id="thm2-non-integer-budget",
-        ),
-        pytest.param(
-            ("selftest", "--only", "0,11"), {},
+            ("selftest", "--only", "0,11"),
             "--only takes criteria 1..10, got 0, 11", id="selftest-out-of-range",
         ),
         pytest.param(
-            ("selftest", "--only", "abc"), {},
+            ("selftest", "--only", "abc"),
             "--only takes criteria 1..10, got 'abc'", id="selftest-non-integer",
         ),
         pytest.param(
-            ("selftest", "--only", "1,,2"), {},
+            ("selftest", "--only", "1,,2"),
             "--only takes criteria 1..10, got ''", id="selftest-empty-item",
         ),
         pytest.param(
-            ("identity", "sweep", "--seed", "1", "--trials", "0"), {},
+            ("identity", "sweep", "--seed", "1", "--trials", "0"),
             "--trials must be at least 1", id="sweep-zero-trials",
         ),
         pytest.param(
-            ("identity", "sweep", "--seed", "1", "--trials", "-1"), {},
+            ("identity", "sweep", "--seed", "1", "--trials", "-1"),
             "--trials must be at least 1", id="sweep-negative-trials",
         ),
         pytest.param(
-            ("identity", "sweep", "--seed", "1", "--trials", "100000"), {},
+            ("identity", "sweep", "--seed", "1", "--trials", "100000"),
             "could not draw 100000 thm1 instances in 200000 attempts",
             id="sweep-sampler-exhausted",
         ),
         pytest.param(
-            ("identity", "thm1", "--params", "10,-1,7,-1,-2,29"), {},
+            ("identity", "thm1", "--params", "10,-1,7,-1,-2,29"),
             "matrix size k must be at most 28, got 29", id="thm1-k-above-cap",
         ),
         pytest.param(
-            ("identity", "thm2", "--params", "4,1,1,1,6,29"), {},
+            ("identity", "thm2", "--params", "4,1,1,1,6,29"),
             "matrix size n must be at most 28, got 29", id="thm2-n-above-cap",
         ),
         pytest.param(
-            ("identities", "--samples", "-3", "--seed", "1"), {},
+            ("identities", "--samples", "-3", "--seed", "1"),
             "--samples must be nonnegative", id="identities-negative-samples",
         ),
     ],
 )
-def test_usage_error_exits_2(capsys, monkeypatch, argv, env, message):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_usage_error_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -472,7 +492,7 @@ def test_det_m20_factorises(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["agree"] is True and obj["nonzero"] is True
-    blocks = extract_blocks(20, 61).all_blocks()
+    blocks = extract_blocks(20, 61)
     assert obj["det"] == str(prod(det_bareiss(b) for b in blocks))
 
 

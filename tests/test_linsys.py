@@ -301,7 +301,7 @@ def test_builders_reject_m_above_max_order():
         build_system(m, 3 * m + 1)
     with pytest.raises(ValueError, match=f"m must be at most {MAX_ORDER}"):
         extract_blocks(m, 3 * m + 2)
-    assert len(extract_blocks(MAX_ORDER, 3 * MAX_ORDER + 1).leading) == MAX_ORDER
+    assert len(extract_blocks(MAX_ORDER, 3 * MAX_ORDER + 1)) == MAX_ORDER + 1
 
 
 def test_restricted_system_m1_golden():
@@ -318,9 +318,8 @@ def test_extract_blocks_match_submatrices():
         for d in (3 * m + 1, 3 * m + 2):
             closed = extract_blocks(m, d)
             sliced = diagonal_blocks(restrict_Bm(build_system(m, d)))
-            assert len(closed.leading) == m
-            assert len(sliced) == m + 1
-            assert closed.all_blocks() == sliced
+            assert len(closed) == m + 1
+            assert closed == sliced
 
 
 def test_block_determinant_product_equals_full_determinant():
@@ -329,21 +328,19 @@ def test_block_determinant_product_equals_full_determinant():
             sub = restrict_Bm(build_system(m, d))
             det = det_exact(sub.entries)
             product = Fraction(1)
-            for b in extract_blocks(m, d).all_blocks():
+            for b in extract_blocks(m, d):
                 product *= det_exact(b)
             assert det == product
             assert det != 0
 
 
 def test_golden_determinants_m3_d11():
-    blocks = extract_blocks(3, 11)
-    dets = [int(det_exact(b)) for b in blocks.all_blocks()]
+    dets = [int(det_exact(b)) for b in extract_blocks(3, 11)]
     assert dets == [462, 6048, 294, 112]
 
 
 def test_golden_determinants_m3_d10():
-    blocks = extract_blocks(3, 10)
-    dets = [int(det_exact(b)) for b in blocks.all_blocks()]
+    dets = [int(det_exact(b)) for b in extract_blocks(3, 10)]
     assert dets == [252, 2352, 112, 35]
     sub = restrict_Bm(build_system(3, 10))
     assert int(det_exact(sub.entries)) == 2323399680

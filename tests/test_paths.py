@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -152,13 +153,14 @@ def test_crossing_pairing_counts_zero():
 
 def test_budget_exceeded_is_distinct_from_zero():
     problem = FamilyProblem(starts=((4, 4),), ends=((0, 12),))
-    with pytest.raises(BudgetExceeded) as info:
-        count_families_bruteforce(problem, budget=3)
+    blocked = FamilyProblem(starts=((4, 4),), ends=((0, 12),), barrier=8)
+    with mock.patch.object(paths, "ENUMERATION_BUDGET", 3):
+        with pytest.raises(BudgetExceeded) as info:
+            count_families_bruteforce(problem)
+        # an impossible family returns plain zero no matter how small the budget
+        assert count_families_bruteforce(blocked) == 0
     assert info.value.product == binom(12, 4)
     assert info.value.budget == 3
-    # an impossible family returns plain zero no matter how small the budget
-    blocked = FamilyProblem(starts=((4, 4),), ends=((0, 12),), barrier=8)
-    assert count_families_bruteforce(blocked, budget=3) == 0
 
 
 def test_empty_family_counts_one():
@@ -184,10 +186,22 @@ def test_verify_thm2_small_instances():
 
 
 def test_verify_thm2_budget_note():
-    report = verify_thm2(4, 1, 1, 1, 6, 2, budget=1)
+    with mock.patch.object(paths, "ENUMERATION_BUDGET", 1):
+        report = verify_thm2(4, 1, 1, 1, 6, 2)
     assert not report.checked
     assert report.family_count is None
     assert "budget" in report.note
+
+
+def test_verify_thm2_too_deep_to_walk_is_unchecked():
+    # one path of 1001 WEST steps: guard product 1, but the recursive walk
+    # goes deeper than the default recursion limit
+    report = verify_thm2(1, 1000, 1, 1000, 1, 1)
+    assert report.applicable
+    assert not report.checked
+    assert report.family_count is None
+    assert report.equal is None
+    assert "recursion" in report.note
 
 
 def test_thm1_inner_params_give_the_family_instance():
@@ -259,8 +273,9 @@ def printed_thm1_applicable(C, D, E, alpha, beta, k):
     st.integers(1, 3),
 )
 def test_thm1_family_is_the_substituted_thm2_family(C, D, E, alpha, beta, k):
-    # budget=1 keeps enumeration trivial: only endpoints and verdicts matter here
-    report = verify_thm1(C, D, E, alpha, beta, k, budget=1)
+    # a budget of 1 keeps enumeration trivial: only endpoints and verdicts matter
+    with mock.patch.object(paths, "ENUMERATION_BUDGET", 1):
+        report = verify_thm1(C, D, E, alpha, beta, k)
     printed = printed_thm1_endpoints(C, D, E, alpha, beta, k)
     assert (report.starts, report.ends, report.barrier) == printed
     assert report.inner_params == thm1_inner_params(C, D, E, alpha, beta, k)
@@ -274,7 +289,7 @@ def test_block_instances_reproduce_block_determinants():
 
     for m in (1, 2, 3):
         for d in (3 * m + 1, 3 * m + 2):
-            blocks = extract_blocks(m, d).all_blocks()
+            blocks = extract_blocks(m, d)
             assert len(blocks) == m + 1
             for f, block in enumerate(blocks, start=1):
                 params = block_instance_params(m, f, d)
@@ -322,13 +337,3 @@ def test_sample_thm1_instances_deterministic():
     for inst in a:
         report = verify_thm1(*inst)
         assert report.checked and report.equal
-
-
-def test_enumeration_budget_env(monkeypatch):
-    monkeypatch.delenv("QUASI3_BUDGET", raising=False)
-    assert paths.enumeration_budget() == paths.DEFAULT_BUDGET
-    monkeypatch.setenv("QUASI3_BUDGET", "123")
-    assert paths.enumeration_budget() == 123
-    monkeypatch.setenv("QUASI3_BUDGET", "0")
-    with pytest.raises(ValueError):
-        paths.enumeration_budget()

@@ -26,8 +26,8 @@ from quasi3.quasi import (
     monomials_of_degree,
     qi_dimension_series,
     quotient_degrees,
-    taylor_coefficients,
 )
+from test_quasi_properties import taylor_coefficients
 
 x1 = Polynomial.variable(1)
 x2 = Polynomial.variable(2)

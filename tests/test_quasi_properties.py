@@ -2,6 +2,7 @@
 polynomials, for the ring and S3 structure of the quasiinvariants, and
 for independence modulo the ideal part on both routes."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import assume, given, settings
@@ -18,8 +19,8 @@ from quasi3.quasi import (
     largest_dividing_power,
     monomials_of_degree,
     quotient_degrees,
-    taylor_coefficients,
 )
+from quasi3.quasi import _check_pair, _integer_terms, _shift_coefficient
 
 pairs = st.sampled_from(((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)))
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
@@ -39,6 +40,27 @@ def at_diagonal(P, i, j):
         moved[i - 1] = 0
         out[tuple(moved)] = out.get(tuple(moved), 0) + coeff
     return Polynomial(out)
+
+
+def taylor_coefficients(P: Polynomial, i: int, j: int, count: int):
+    """Coefficients c_0 .. c_(count-1) of P expanded in t = x_i - x_j.
+
+    Substituting x_i = x_j + t writes P = sum_r c_r (x_i - x_j)^r with
+    every c_r free of x_i, so (x_i - x_j)^p divides P exactly when
+    c_0 .. c_(p-1) all vanish.  Built on the integer shift kernel behind
+    largest_dividing_power; the tests rebuild P from the c_r by
+    Polynomial arithmetic, which checks that kernel independently.
+    """
+    _check_pair(i, j)
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    den, terms = _integer_terms(P)
+    return [
+        Polynomial(
+            {k: Fraction(v, den) for k, v in _shift_coefficient(terms, i, j, r).items()}
+        )
+        for r in range(count)
+    ]
 
 
 @checked
