@@ -67,7 +67,6 @@ def family_count(starts, ends, barrier, budget: int) -> int:
     if product > budget:
         raise BudgetExceeded(product, budget)
 
-    width = max(x for x, _ in starts) + 1
     top = max(y for _, y in ends) + 1
 
     def bit(x, y):

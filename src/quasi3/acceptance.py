@@ -264,17 +264,13 @@ def criterion_9():
     pairs = 0
     for s in range(15):
         for h in range(s, 15):
-            problem = paths.PathProblem(start=(s, s), end=(0, h))
-            if paths.count_paths_dp(problem) != paths.single_path_formula(
-                s, h, None
-            ):
+            free = paths.count_paths_dp((s, s), (0, h))
+            if free != paths.single_path_formula(s, h, None):
                 return False, f"free count mismatch at (s={s}, h={h})"
             for L in range(-2, 2 * 14 + 3):
                 if not paths.formula_applicable(s, h, L):
                     continue
-                dp = paths.count_paths_dp(
-                    paths.PathProblem(start=(s, s), end=(0, h), barrier=L)
-                )
+                dp = paths.count_paths_dp((s, s), (0, h), L)
                 if dp != paths.single_path_formula(s, h, L):
                     return False, f"mismatch at (s={s}, h={h}, L={L})"
                 pairs += 1

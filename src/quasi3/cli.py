@@ -269,26 +269,21 @@ def _parse_point(text, option):
 
 
 def cmd_paths(args) -> int:
-    problem = paths.PathProblem(
-        start=_parse_point(args.start, "--start"),
-        end=_parse_point(args.end, "--end"),
-        barrier=args.barrier,
-    )
-    count = paths.count_paths_dp(problem)
+    start = _parse_point(args.start, "--start")
+    end = _parse_point(args.end, "--end")
+    count = paths.count_paths_dp(start, end, args.barrier)
     if args.format == "json":
         _print_json(
             {
-                "start": list(problem.start),
-                "end": list(problem.end),
-                "barrier": problem.barrier,
+                "start": list(start),
+                "end": list(end),
+                "barrier": args.barrier,
                 "count": str(count),
             }
         )
     else:
-        where = f" avoiding x+y={problem.barrier}" if problem.barrier is not None else ""
-        print(
-            f"paths {problem.start} -> {problem.end}{where}: {count}"
-        )
+        where = f" avoiding x+y={args.barrier}" if args.barrier is not None else ""
+        print(f"paths {start} -> {end}{where}: {count}")
     return OK
 
 

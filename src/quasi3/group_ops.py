@@ -152,30 +152,54 @@ def make_element(name: str) -> GroupAlgebraElement:
 ELEMENT_NAMES = ("S3sym", "S3alt", "pi1", "pi2")
 
 
-def _identity_pairs():
-    """The named identities as (label, lhs, rhs) element pairs."""
-    sym = make_element("S3sym")
-    alt = make_element("S3alt")
-    pi1 = make_element("pi1")
-    pi2 = make_element("pi2")
-    one = GroupAlgebraElement.one()
-    zero = GroupAlgebraElement.zero()
-    s13 = GroupAlgebraElement.from_perm(S13)
-    s23 = GroupAlgebraElement.from_perm(S23)
-    s12 = GroupAlgebraElement.from_perm(S12)
-    return (
-        ("pi1 idempotent", pi1 * pi1, pi1),
-        ("pi2 idempotent", pi2 * pi2, pi2),
-        ("S3alt pi1 = 0", alt * pi1, zero),
-        ("pi1 pi2 = 0", pi1 * pi2, zero),
-        ("pi2 pi1 = 0", pi2 * pi1, zero),
-        ("S3sym + pi1 + pi2 + S3alt = 1", sym + pi1 + pi2 + alt, one),
-        ("s23 pi1 = pi1", s23 * pi1, pi1),
-        ("pi2 s12 pi1 = -s13 pi1", pi2 * s12 * pi1, -(s13 * pi1)),
-    )
+# Each identity is (label, lhs, rhs).  A side is a signed sum of words; a
+# word names its factors left to right and acts right to left, "" is 1
+# and an empty side is 0.
+IDENTITIES = (
+    ("pi1 idempotent", ((1, "pi1 pi1"),), ((1, "pi1"),)),
+    ("pi2 idempotent", ((1, "pi2 pi2"),), ((1, "pi2"),)),
+    ("S3alt pi1 = 0", ((1, "S3alt pi1"),), ()),
+    ("pi1 pi2 = 0", ((1, "pi1 pi2"),), ()),
+    ("pi2 pi1 = 0", ((1, "pi2 pi1"),), ()),
+    (
+        "S3sym + pi1 + pi2 + S3alt = 1",
+        ((1, "S3sym"), (1, "pi1"), (1, "pi2"), (1, "S3alt")),
+        ((1, ""),),
+    ),
+    ("s23 pi1 = pi1", ((1, "s23 pi1"),), ((1, "pi1"),)),
+    ("pi2 s12 pi1 = -s13 pi1", ((1, "pi2 s12 pi1"),), ((-1, "s13 pi1"),)),
+)
+
+IDENTITY_LABELS = tuple(label for label, _, _ in IDENTITIES)
 
 
-IDENTITY_LABELS = tuple(label for label, _, _ in _identity_pairs())
+def _factors():
+    """The named elements and the three transpositions, by name."""
+    factors = {name: make_element(name) for name in ELEMENT_NAMES}
+    for name, perm in (("s12", S12), ("s13", S13), ("s23", S23)):
+        factors[name] = GroupAlgebraElement.from_perm(perm)
+    return factors
+
+
+def _value(names, step, memo):
+    """memo[()] acted on by the word names one factor at a time, right to
+    left; memo keeps every suffix, so pi1(P) is computed once."""
+    if names not in memo:
+        memo[names] = step(names[0], _value(names[1:], step, memo))
+    return memo[names]
+
+
+def _verdicts(step, start, zero) -> dict:
+    """Each identity's verdict, with every word evaluated from start."""
+    memo = {(): start}
+
+    def side(terms):
+        total = zero
+        for sgn, word in terms:
+            total = total + _value(tuple(word.split()), step, memo) * sgn
+        return total
+
+    return {label: side(lhs) == side(rhs) for label, lhs, rhs in IDENTITIES}
 
 
 @dataclass(frozen=True)
@@ -188,20 +212,27 @@ class IdentityReport:
 
 
 def verify_identities(samples) -> IdentityReport:
-    """Check every named identity exactly, in the algebra and on samples."""
-    pairs = _identity_pairs()
-    element_level = {label: (lhs == rhs) for label, lhs, rhs in pairs}
-    sample_level = []
-    for P in samples:
-        verdicts = {
-            label: (lhs.apply(P) == rhs.apply(P)) for label, lhs, rhs in pairs
-        }
-        sample_level.append(verdicts)
+    """Check every named identity exactly, in the algebra and on samples.
+
+    The element level multiplies the factors out; the sample level acts
+    on each sample one factor at a time, so a faulty action shows there
+    even where the multiplied-out elements agree.
+    """
+    factors = _factors()
+    element_level = _verdicts(
+        lambda name, g: factors[name] * g,
+        GroupAlgebraElement.one(),
+        GroupAlgebraElement.zero(),
+    )
+    sample_level = tuple(
+        _verdicts(lambda name, Q: factors[name].apply(Q), P, Polynomial.zero())
+        for P in samples
+    )
     passed = all(element_level.values()) and all(
         all(v.values()) for v in sample_level
     )
     return IdentityReport(
         element_level=element_level,
-        sample_level=tuple(sample_level),
+        sample_level=sample_level,
         passed=passed,
     )

@@ -6,7 +6,7 @@ vertex with x + y == L ("touching the line" includes endpoints).
 Three routes to the same numbers, kept deliberately separate:
 
 * count_paths_dp: dynamic programming over the rectangle (the oracle).
-* count_paths_formula: the reflection closed form
+* single_path_formula: the reflection closed form
   binom(h, s) - binom(h, L - s) for (s, s) -> (0, h); valid exactly when
   L is not strictly between the endpoint line-sums 2s and h
   (formula_applicable decides this).
@@ -15,7 +15,9 @@ Three routes to the same numbers, kept deliberately separate:
   on the product of the single-path counts.
 
 verify_thm2 checks det[ binom(a+bi, c+dj) - binom(a+bi, e-dj) ] against
-the family count for starts (c+dj, c+dj), ends (0, a+bi), barrier c+e.
+the family count for starts (c+dj, c+dj), ends (0, a+bi), barrier c+e;
+entry (i, j) is single_path_formula from start j to end i, so the matrix
+and the family are read from the same endpoints.
 verify_thm1 checks det[ binom(C+ai, E+bj) - binom(D-ai, E+bj) ] against
 prefactor * family count, where the family is the thm2 instance obtained
 by the substitution recorded in thm1_inner_params.
@@ -47,54 +49,15 @@ def _check_point(pt):
     return (x, y)
 
 
-@dataclass(frozen=True)
-class PathProblem:
-    """One NORTH/WEST path problem: start, end, optional barrier sum."""
-
-    start: tuple
-    end: tuple
-    barrier: object = None  # int or None
-
-    def __post_init__(self):
-        s = _check_point(self.start)
-        e = _check_point(self.end)
-        if e[0] > s[0] or e[1] < s[1]:
-            raise ValueError(
-                "end must be weakly west and north of start for N/W steps"
-            )
-        if self.barrier is not None and not isinstance(self.barrier, int):
-            raise ValueError("barrier must be an int or None")
-        object.__setattr__(self, "start", s)
-        object.__setattr__(self, "end", e)
-
-
-@dataclass(frozen=True)
-class FamilyProblem:
-    """Paired starts on the diagonal and ends on the y-axis."""
-
-    starts: tuple
-    ends: tuple
-    barrier: object = None
-
-    def __post_init__(self):
-        starts = tuple(_check_point(p) for p in self.starts)
-        ends = tuple(_check_point(p) for p in self.ends)
-        if len(starts) != len(ends):
-            raise ValueError("starts and ends must pair up")
-        if any(x != y for x, y in starts):
-            raise ValueError("family starts must lie on the diagonal x == y")
-        if any(x != 0 for x, _ in ends):
-            raise ValueError("family ends must lie on the y-axis")
-        if self.barrier is not None and not isinstance(self.barrier, int):
-            raise ValueError("barrier must be an int or None")
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "ends", ends)
-
-
-def count_paths_dp(problem: PathProblem) -> int:
+def count_paths_dp(start, end, barrier=None) -> int:
     """Exact barrier-avoiding path count by dynamic programming."""
-    (x0, y0), (x1, y1) = problem.start, problem.end
-    return dp_count(x0, y0, x1, y1, problem.barrier)
+    x0, y0 = _check_point(start)
+    x1, y1 = _check_point(end)
+    if x1 > x0 or y1 < y0:
+        raise ValueError("end must be weakly west and north of start for N/W steps")
+    if barrier is not None and not isinstance(barrier, int):
+        raise ValueError("barrier must be an int or None")
+    return dp_count(x0, y0, x1, y1, barrier)
 
 
 def single_path_formula(s: int, h: int, L) -> int:
@@ -113,21 +76,14 @@ def formula_applicable(s: int, h: int, L) -> bool:
     return not (min(2 * s, h) < L < max(2 * s, h))
 
 
-def count_paths_formula(a, b, c, d, e, i, j) -> int:
-    """Matrix entry binom(a+bi, c+dj) - binom(a+bi, e-dj)."""
-    return single_path_formula(c + d * j, a + b * i, c + e)
-
-
-def count_families_bruteforce(problem: FamilyProblem) -> int:
+def count_families_bruteforce(starts, ends, barrier) -> int:
     """Exhaustively count pairwise vertex-disjoint path families.
 
     Raises BudgetExceeded when the product of the individual path counts
     is larger than ENUMERATION_BUDGET.  The walk recurses once per
     lattice step, so a long enough path raises RecursionError.
     """
-    return family_count(
-        problem.starts, problem.ends, problem.barrier, ENUMERATION_BUDGET
-    )
+    return family_count(starts, ends, barrier, ENUMERATION_BUDGET)
 
 
 # --- determinant identity: diagonal starts, axis ends ----------------------
@@ -179,19 +135,18 @@ def _count_family(report, factor):
     factor (thm1's prefactor denominator vanishes), unusable endpoints,
     a family over ENUMERATION_BUDGET, or a walk deeper than the recursion
     limit.  Writes only note, family_count, checked and equal; never
-    applicable, which formula_applicable already makes False wherever
-    FamilyProblem refuses the endpoints.
+    applicable, which formula_applicable already makes False wherever an
+    endpoint leaves the first quadrant.
     """
     if factor is None:
         return replace(report, note="prefactor denominator vanishes")
     try:
-        problem = FamilyProblem(
-            starts=report.starts, ends=report.ends, barrier=report.barrier
-        )
+        for point in report.starts + report.ends:
+            _check_point(point)
     except ValueError as exc:
         return replace(report, note=f"family endpoints unusable: {exc}")
     try:
-        count = count_families_bruteforce(problem)
+        count = count_families_bruteforce(report.starts, report.ends, report.barrier)
     except BudgetExceeded as exc:
         return replace(report, note=str(exc))
     except RecursionError:
@@ -215,11 +170,10 @@ def _check_size(name, size):
 def verify_thm2(a, b, c, d, e, n) -> Thm2Report:
     """Compare the determinant with the brute-force family count."""
     _check_size("n", n)
-    entries = tuple(
-        tuple(count_paths_formula(a, b, c, d, e, i, j) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
     starts, ends, L = thm2_endpoints(a, b, c, d, e, n)
+    entries = tuple(
+        tuple(single_path_formula(s, h, L) for s, _ in starts) for _, h in ends
+    )
     report = Thm2Report(
         params={"a": a, "b": b, "c": c, "d": d, "e": e, "n": n},
         entries=entries,
@@ -324,7 +278,7 @@ def block_instance_params(m: int, f: int, d: int):
 # --- instance generators ----------------------------------------------------
 
 
-def thm2_grid(coord_bound: int = 12, nmax: int = 3):
+def thm2_grid(coord_bound: int, nmax: int):
     """Deterministic sweep of applicable instances for exhaustive checks.
 
     Yields (a, b, c, d, e, n) tuples whose endpoints stay within
@@ -350,14 +304,16 @@ def thm2_grid(coord_bound: int = 12, nmax: int = 3):
                             yield (a, b, c, d, e, n)
 
 
-def sample_thm1_instances(rng, count: int, coord_bound: int = 12):
-    """Seeded sample of applicable prefactor-identity instances.
+def sample_thm1_instances(rng, count: int):
+    """Seeded sample of applicable prefactor-identity instances whose
+    endpoints stay within coordinate 12.
 
     Raises ValueError, naming count and the attempt limit, when the
     limit is reached with fewer than count instances.
     """
     out = []
     limit = 200000
+    coord_bound = 12
     for _ in range(limit):
         if len(out) == count:
             break

@@ -223,8 +223,19 @@ class Polynomial:
         for item in obj:
             if not isinstance(item, dict) or set(item) != {"e", "c"}:
                 raise ValueError(f"bad term object: {item!r}")
-            exp = _check_exponent(item["e"])
-            coeff = rational_from_str(item["c"])
+            e, c = item["e"], item["c"]
+            # JSON true/false load as bool, a subclass of int
+            if not (
+                isinstance(e, list)
+                and len(e) == 3
+                and all(type(k) is int for k in e)
+                and isinstance(c, str)
+            ):
+                raise ValueError(
+                    f'term needs three integers "e" and a string "c": {item!r}'
+                )
+            exp = _check_exponent(e)
+            coeff = rational_from_str(c)
             if exp in out:
                 raise ValueError(f"duplicate exponent {exp} in polynomial JSON")
             out[exp] = coeff

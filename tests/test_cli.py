@@ -101,6 +101,24 @@ def test_check_malformed_file_is_usage_error(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        '[{"e":[1,0,0],"c":1}]',
+        '[{"e":5,"c":"1"}]',
+        '[{"e":[true,0,0],"c":"1"}]',
+        '[{"e":[1,0,0],"c":null}]',
+    ],
+)
+def test_check_malformed_json_term_is_usage_error(tmp_path, capsys, body):
+    target = tmp_path / "poly.json"
+    target.write_text(body)
+    code, out, err = run_cli(capsys, "check", "--m", "1", "--poly", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_system_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "system", "--m", "1", "--d", "4")
     assert code == 0
@@ -343,6 +361,26 @@ def test_identity_sweep_deterministic(capsys):
             "det --m 4 --d 13 --format json", 0,
             "8a3e6ad44aba24d5c74743f1a830d4ec0e23ca94f7d3c691d9b73b152b4f07c7",
             id="det-m4-json",
+        ),
+        pytest.param(
+            "paths count --start 2,2 --end 0,6 --barrier 9", 0,
+            "f207dbe8ae92941fdc0e13ebfba1370203c104468adfdf83f03f3041713b257e",
+            id="paths-count-text",
+        ),
+        pytest.param(
+            "paths count --start 3,1 --end 0,6 --barrier 4 --format json", 0,
+            "3cde6f7cb27c5217dccb6dc6b54f9411a163ba11c0686b78e741cb14d54fb1c9",
+            id="paths-count-json",
+        ),
+        pytest.param(
+            "identities --samples 100 --seed 1234", 0,
+            "42bc70e52f5551485f0b720ff8dbaf19cb59a2e27fb456fac7184c502ebb76fe",
+            id="identities-text",
+        ),
+        pytest.param(
+            "identities --samples 20 --seed 7 --format json", 0,
+            "3ab1975aa1c88413afcc9506e55c98d613b725599b21efffdbded70f597ce538",
+            id="identities-json",
         ),
     ],
 )

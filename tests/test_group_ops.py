@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 from quasi3.group_ops import (
     IDENTITY_LABELS,
@@ -7,7 +8,7 @@ from quasi3.group_ops import (
     make_element,
     verify_identities,
 )
-from quasi3.poly import ALL_PERMS, IDENTITY, S12, S23, Polynomial
+from quasi3.poly import ALL_PERMS, IDENTITY, S12, S13, S23, Polynomial
 
 
 def random_poly(rng):
@@ -76,6 +77,25 @@ def test_identities_on_random_samples():
     for verdicts in report.sample_level:
         assert set(verdicts) == set(IDENTITY_LABELS)
         assert all(verdicts.values())
+
+
+def test_faulty_action_fails_on_samples():
+    # s13 doubling its input leaves every multiplied-out element intact,
+    # so only acting one factor at a time can see it
+    apply_perm = Polynomial.apply_perm
+
+    def doubling_s13(self, perm):
+        image = apply_perm(self, perm)
+        return image * 2 if perm == S13 else image
+
+    rng = random.Random(11)
+    samples = [random_poly(rng) for _ in range(5)]
+    with mock.patch.object(Polynomial, "apply_perm", doubling_s13):
+        report = verify_identities(samples)
+    assert all(report.element_level.values())
+    assert not report.passed
+    failed = {label for v in report.sample_level for label, ok in v.items() if not ok}
+    assert failed == {"S3alt pi1 = 0", "pi2 s12 pi1 = -s13 pi1"}
 
 
 def test_apply_is_linear():

@@ -11,12 +11,9 @@ from quasi3.arith import binom
 from quasi3.linsys import MAX_ORDER
 from quasi3.paths import (
     BudgetExceeded,
-    FamilyProblem,
-    PathProblem,
     block_instance_params,
     count_families_bruteforce,
     count_paths_dp,
-    count_paths_formula,
     formula_applicable,
     sample_thm1_instances,
     single_path_formula,
@@ -59,8 +56,7 @@ def test_dp_matches_brute_force():
 def test_dp_free_count_is_binomial():
     for s in range(0, 7):
         for h in range(s, 10):
-            problem = PathProblem(start=(s, s), end=(0, h))
-            assert count_paths_dp(problem) == binom(h, s)
+            assert count_paths_dp((s, s), (0, h)) == binom(h, s)
 
 
 def test_dp_unreachable_is_zero():
@@ -107,58 +103,55 @@ def test_formula_applicable_edges():
     assert not formula_applicable(3, 2, None)
 
 
-def test_count_paths_formula_is_matrix_entry():
+def test_thm2_entries_are_paper_binomials():
     a, b, c, d, e = 4, 1, 1, 1, 6
-    for i in (1, 2):
-        for j in (1, 2):
-            expected = binom(a + b * i, c + d * j) - binom(a + b * i, e - d * j)
-            assert count_paths_formula(a, b, c, d, e, i, j) == expected
+    expected = tuple(
+        tuple(
+            binom(a + b * i, c + d * j) - binom(a + b * i, e - d * j)
+            for j in (1, 2)
+        )
+        for i in (1, 2)
+    )
+    assert verify_thm2(a, b, c, d, e, 2).entries == expected
 
 
 def test_path_problem_validation():
     with pytest.raises(ValueError):
-        PathProblem(start=(-1, 0), end=(0, 0))
+        count_paths_dp((-1, 0), (0, 0))
     with pytest.raises(ValueError):
-        PathProblem(start=(0, 0), end=(1, 1))  # east of start
+        count_paths_dp((0, 0), (1, 1))  # east of start
     with pytest.raises(ValueError):
-        PathProblem(start=(1, 3), end=(0, 2))  # south of start
+        count_paths_dp((1, 3), (0, 2))  # south of start
     with pytest.raises(ValueError):
-        PathProblem(start=(0, 0), end=(0, 0), barrier="x")
+        count_paths_dp((0, 0), (0, 0), "x")
 
 
 def test_family_problem_validation():
-    with pytest.raises(ValueError):
-        FamilyProblem(starts=((1, 2),), ends=((0, 5),))  # off diagonal
-    with pytest.raises(ValueError):
-        FamilyProblem(starts=((1, 1),), ends=((1, 5),))  # off axis
-    with pytest.raises(ValueError):
-        FamilyProblem(starts=((1, 1), (2, 2)), ends=((0, 5),))
+    with pytest.raises(ValueError, match="pair up"):
+        count_families_bruteforce(((1, 1), (2, 2)), ((0, 5),), None)
 
 
 def test_single_family_equals_single_path():
     for s in range(0, 4):
         for h in range(s, 8):
-            problem = FamilyProblem(starts=((s, s),), ends=((0, h),), barrier=11)
-            single = PathProblem(start=(s, s), end=(0, h), barrier=11)
-            assert count_families_bruteforce(problem) == count_paths_dp(single)
+            family = count_families_bruteforce(((s, s),), ((0, h),), 11)
+            assert family == count_paths_dp((s, s), (0, h), 11)
 
 
 def test_crossing_pairing_counts_zero():
     # end of the second path sits on every route of the first
-    problem = FamilyProblem(starts=((0, 0), (1, 1)), ends=((0, 5), (0, 3)))
-    assert count_families_bruteforce(problem) == 0
-    swapped = FamilyProblem(starts=((0, 0), (1, 1)), ends=((0, 3), (0, 5)))
-    assert count_families_bruteforce(swapped) > 0
+    starts = ((0, 0), (1, 1))
+    assert count_families_bruteforce(starts, ((0, 5), (0, 3)), None) == 0
+    assert count_families_bruteforce(starts, ((0, 3), (0, 5)), None) > 0
 
 
 def test_budget_exceeded_is_distinct_from_zero():
-    problem = FamilyProblem(starts=((4, 4),), ends=((0, 12),))
-    blocked = FamilyProblem(starts=((4, 4),), ends=((0, 12),), barrier=8)
+    starts, ends = ((4, 4),), ((0, 12),)
     with mock.patch.object(paths, "ENUMERATION_BUDGET", 3):
         with pytest.raises(BudgetExceeded) as info:
-            count_families_bruteforce(problem)
+            count_families_bruteforce(starts, ends, None)
         # an impossible family returns plain zero no matter how small the budget
-        assert count_families_bruteforce(blocked) == 0
+        assert count_families_bruteforce(starts, ends, 8) == 0
     assert info.value.product == binom(12, 4)
     assert info.value.budget == 3
 

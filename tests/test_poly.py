@@ -202,6 +202,21 @@ def test_json_round_trip(p):
     assert Polynomial.from_json_obj(p.to_json_obj()) == p
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"e": [1, 0, 0], "c": 1},
+        {"e": 5, "c": "1"},
+        {"e": [True, 0, 0], "c": "1"},
+        {"e": [1, 0, 0], "c": None},
+        {"e": [1, 0], "c": "1"},
+    ],
+)
+def test_json_rejects_malformed_term(term):
+    with pytest.raises(ValueError, match="term needs"):
+        Polynomial.from_json_obj([term])
+
+
 def test_str_is_parseable():
     p = x1**2 - Fraction(5, 3) * x2 * x3 + Polynomial.constant(1)
     assert parse_poly(str(p)) == p
