@@ -4,14 +4,15 @@ Python integers are arbitrary precision and fractions.Fraction is always
 stored in lowest terms with a positive denominator, so the two built-in
 types serve directly as the exact integer and rational scalars.  What this
 module adds is the binomial-coefficient convention used throughout the
-difference formulas, plus strict string serialization for rationals.
+difference formulas, integer scaling, and strict string serialization
+for rationals.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 _RAT_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
@@ -25,6 +26,12 @@ def binom(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     return comb(n, k)
+
+
+def integer_scaled(values):
+    """(den, ints): ints and Fractions as numerators over their lcm denominator."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def rational_to_str(value) -> str:

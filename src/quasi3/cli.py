@@ -418,7 +418,7 @@ def cmd_identities(args) -> int:
 
 def cmd_selftest(args) -> int:
     indices = None
-    if args.only:
+    if args.only is not None:
         indices, bad = set(), []
         for item in args.only.split(","):
             try:

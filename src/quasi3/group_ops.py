@@ -1,8 +1,10 @@
 """The group algebra of S3 acting on polynomials.
 
-Elements are formal rational combinations of the six permutations.  The
-product is convolution, matching operator composition on polynomials:
-(g * h)(P) = g(h(P)).  The four named elements are
+Elements are formal rational combinations of the six permutations: a
+poly.Combination keyed by permutation, so sums, scaling, equality and
+hashing are the ones Polynomial uses.  The product is convolution,
+matching operator composition on polynomials: (g * h)(P) = g(h(P)).
+The four named elements are
 
     S3sym = (1/6) sum_sigma sigma
     S3alt = (1/6) sum_sigma sgn(sigma) sigma
@@ -25,31 +27,26 @@ from .poly import (
     S12,
     S13,
     S23,
+    Combination,
     Polynomial,
     compose,
     sign,
 )
 
 
-class GroupAlgebraElement:
+def _check_perm(perm):
+    perm = tuple(perm)
+    if sorted(perm) != [1, 2, 3]:
+        raise ValueError(f"not a permutation of (1,2,3): {perm!r}")
+    return perm
+
+
+class GroupAlgebraElement(Combination):
     """A rational combination of the six permutations of S3."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for perm, c in dict(coeffs).items():
-                perm = tuple(perm)
-                if sorted(perm) != [1, 2, 3]:
-                    raise ValueError(f"not a permutation of (1,2,3): {perm!r}")
-                c = Fraction(c)
-                if c:
-                    clean[perm] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupAlgebraElement is immutable")
+    _check_key = staticmethod(_check_perm)
 
     @classmethod
     def from_perm(cls, perm, coeff=1) -> "GroupAlgebraElement":
@@ -59,74 +56,26 @@ class GroupAlgebraElement:
     def one(cls) -> "GroupAlgebraElement":
         return cls({IDENTITY: 1})
 
-    @classmethod
-    def zero(cls) -> "GroupAlgebraElement":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for perm, c in other.coeffs.items():
-            s = out.get(perm, Fraction(0)) + c
-            if s:
-                out[perm] = s
-            else:
-                out.pop(perm, None)
-        return GroupAlgebraElement(out)
-
-    def __neg__(self):
-        return GroupAlgebraElement({p: -c for p, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GroupAlgebraElement(
-                {p: c * other for p, c in self.coeffs.items()}
-            )
         if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
+            return super().__mul__(other)
         out = {}
-        for p1, c1 in self.coeffs.items():
-            for p2, c2 in other.coeffs.items():
+        for p1, c1 in self.terms.items():
+            for p2, c2 in other.terms.items():
                 key = compose(p1, p2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
         return GroupAlgebraElement(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "GroupAlgebraElement(0)"
-        parts = [f"{c}*{p}" for p, c in sorted(self.coeffs.items())]
+        parts = [f"{c}*{p}" for p, c in sorted(self.terms.items())]
         return f"GroupAlgebraElement({' + '.join(parts)})"
 
     def apply(self, P: Polynomial) -> Polynomial:
         """Act on a polynomial: sum of coeff * (permuted P)."""
         out = Polynomial.zero()
-        for perm, c in self.coeffs.items():
+        for perm, c in self.terms.items():
             out = out + P.apply_perm(perm) * c
         return out
 

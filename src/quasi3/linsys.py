@@ -20,10 +20,11 @@ Conventions, fixed once here and relied on everywhere else:
   restrict_Bm.
 
 * The exact solvers share one fraction-free integer elimination loop,
-  _eliminate.  rref clears every other row; det_exact and rank stop at
-  echelon form, and det_exact forms one Fraction at the end from the
-  diagonal and plain-int bookkeeping: the swap count, the gcds divided
-  out, the pivot powers and the row scales.
+  _eliminate.  nullspace_vectors clears every other row and reads each
+  vector from the integer rows; det_exact and rank stop at echelon form,
+  and det_exact forms one Fraction at the end from the diagonal and
+  plain-int bookkeeping: the swap count, the gcds divided out, the pivot
+  powers and the row scales.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
-from .arith import binom
+from .arith import binom, integer_scaled
 
 # Largest m build_system and extract_blocks accept, checked before any
 # allocation.  At m = 29 the restricted determinant has 4456 digits,
@@ -199,8 +200,8 @@ def _eliminate(matrix, reduced: bool):
     """
     rows, divisors, gcds = [], [], []
     for row in matrix:
-        scale = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        scale, ints = integer_scaled(row)
+        rows.append(ints)
         divisors.append(scale)
     pivots = []
     swaps = r = 0
@@ -246,40 +247,30 @@ def det_exact(matrix) -> Fraction:
     return Fraction(diagonal * prod(gcds), prod(divisors))
 
 
-def rref(matrix):
-    """Reduced row echelon form over the rationals.
-
-    Returns (rows, pivot_cols), the rows as lists of Fractions.  After
-    the integer Gauss-Jordan elimination of _eliminate each row is a
-    nonzero multiple of its reduced row, so one normalisation at the
-    end, dividing each pivot row by its pivot, gives the reduced form;
-    that form is unique, so it equals Gauss-Jordan elimination over the
-    rationals.
-    """
-    rows, pivots = _eliminate(matrix, reduced=True)[:2]
-    # rows below the rank are zero and keep denominator 1
-    leads = [rows[k][c] for k, c in enumerate(pivots)]
-    leads += [1] * (len(rows) - len(pivots))
-    return [[Fraction(x, d) for x in row] for row, d in zip(rows, leads)], pivots
-
-
 def rank(matrix) -> int:
     return len(_eliminate(matrix, reduced=False)[1])
 
 
 def nullspace_vectors(matrix, ncols: int):
     """Basis of the right null space, each vector scaled so its first
-    nonzero coordinate is 1.  Rows may be empty (full space comes back)."""
-    reduced, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
+    nonzero coordinate is 1.  Rows may be empty (full space comes back).
+
+    On the integer Gauss-Jordan rows of _eliminate, free column f gives
+    x_f = 1 and x_p = -row[f] / row[p] for each pivot p (nonzero only for
+    p < f); each coordinate over the first nonzero one is one Fraction.
+    """
+    rows, pivots = _eliminate(matrix, reduced=True)[:2]
+    pivoted = list(zip(pivots, rows))
     basis = []
-    for fc in free:
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        # the first nonzero coordinate is -num / den
+        num, den = next(((row[f], row[p]) for p, row in pivoted if row[f]), (-1, 1))
         v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            v[pc] = -reduced[pr][fc]
-        lead = next(x for x in v if x)
-        basis.append(tuple(x / lead for x in v))
+        v[f] = Fraction(-den, num)
+        for p, row in pivoted:
+            if row[f]:
+                v[p] = Fraction(row[f] * den, row[p] * num)
+        basis.append(tuple(v))
     return basis
 
 

@@ -4,6 +4,10 @@ A polynomial is a mapping from exponent triples (a, b, c) to nonzero
 Fraction coefficients.  The canonical term order used for serialization
 and normalization is graded lexicographic, highest first.
 
+The sparse rational arithmetic lives in the base class Combination,
+shared with group_ops.GroupAlgebraElement; each subclass checks its own
+keys and defines its own product.
+
 Permutations are image tuples (sigma(1), sigma(2), sigma(3)).  A
 permutation acts on polynomials by substituting x_i -> x_{sigma(i)}, so
 the operator product is composition: (compose(s, t))(P) = s(t(P)).
@@ -55,26 +59,92 @@ def _check_exponent(exp) -> Exponent:
     return exp
 
 
-class Polynomial:
-    """Immutable sparse polynomial over the rationals in x1, x2, x3."""
+class Combination:
+    """Immutable sparse rational combination: a dict from keys to nonzero
+    Fractions.  Subclasses define _check_key and their own product; zero
+    coefficients are dropped here, in the constructor, only.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
         if terms:
-            for exp, coeff in dict(terms).items():
+            for key, coeff in dict(terms).items():
                 coeff = Fraction(coeff)
                 if coeff:
-                    clean[_check_exponent(exp)] = coeff
+                    clean[self._check_key(key)] = coeff
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls) -> "Polynomial":
+    def _coerce(cls, value):
+        return value if isinstance(value, cls) else NotImplemented
+
+    @classmethod
+    def zero(cls):
         return cls()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            out[key] = out[key] + coeff if key in out else coeff
+        return type(self)(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self + -other
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other + -self
+
+    def __mul__(self, other):
+        """Scaling by an int or Fraction; subclasses add their product."""
+        if isinstance(other, (int, Fraction)):
+            return type(self)({k: c * other for k, c in self.terms.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class Polynomial(Combination):
+    """Immutable sparse polynomial over the rationals in x1, x2, x3."""
+
+    __slots__ = ()
+
+    _check_key = staticmethod(_check_exponent)
+
+    @classmethod
+    def _coerce(cls, value):
+        if isinstance(value, (int, Fraction)):
+            return cls.constant(value)
+        return super()._coerce(value)
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
@@ -91,9 +161,6 @@ class Polynomial:
     @classmethod
     def monomial(cls, exp, coeff=1) -> "Polynomial":
         return cls({tuple(exp): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self):
         """Total degree, or None for the zero polynomial."""
@@ -128,52 +195,14 @@ class Polynomial:
             out[tuple(moved)] = coeff
         return Polynomial(out)
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            s = out.get(exp, Fraction(0)) + coeff
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Polynomial()
-            return Polynomial({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            return super().__mul__(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -189,18 +218,6 @@ class Polynomial:
             base = base * base
             n >>= 1
         return result
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __str__(self):
         return format_poly(self)
@@ -240,14 +257,6 @@ class Polynomial:
                 raise ValueError(f"duplicate exponent {exp} in polynomial JSON")
             out[exp] = coeff
         return cls(out)
-
-
-def _coerce(value):
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
-    return NotImplemented
 
 
 def mono_sym(i: int, j: int) -> Polynomial:

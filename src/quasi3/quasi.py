@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
 
-from .arith import binom
+from .arith import binom, integer_scaled
 from .linsys import nullspace_vectors, rank
 from .poly import (
     S12,
@@ -46,10 +45,8 @@ def _check_pair(i: int, j: int):
 def _integer_terms(P: Polynomial):
     """(den, [(exponent, numerator)]): P's terms as integer numerators over
     one common denominator, since Fraction sums are slow."""
-    den = lcm(*(c.denominator for c in P.terms.values()))
-    return den, [
-        (exp, c.numerator * (den // c.denominator)) for exp, c in P.terms.items()
-    ]
+    den, nums = integer_scaled(P.terms.values())
+    return den, list(zip(P.terms, nums))
 
 
 def _shift_coefficient(terms, i: int, j: int, r: int):
@@ -143,11 +140,7 @@ def coinvariant_nf(P: Polynomial):
     work = {}
 
     def _add(key, value):
-        s = work.get(key, Fraction(0)) + value
-        if s:
-            work[key] = s
-        else:
-            work.pop(key, None)
+        work[key] = work.get(key, 0) + value
 
     for (a, b, c), coeff in P.terms.items():
         # substitute x1^a = (-(x2 + x3))^a
@@ -185,13 +178,15 @@ def _taylor_kernel(columns, count: int):
     columns maps a pair (i, j) to one integer-term list per unknown.  The
     rows say that the coefficients of t^0 .. t^(count-1) vanish, with
     x_i = x_j + t, in the combination of those term lists; there is one
-    row per (pair, r, monomial), built on integers.
+    row per (pair, r, monomial), built on integers.  r stops at the
+    largest x_i power, past which no t^r coefficient survives.
     """
     ncols = len(next(iter(columns.values())))
     row_map = {}
     for (i, j), unknowns in columns.items():
         for pos, terms in enumerate(unknowns):
-            for r in range(count):
+            top = max(exp[i - 1] for exp, _ in terms)
+            for r in range(min(count, top + 1)):
                 for exp, num in _shift_coefficient(terms, i, j, r).items():
                     if num:
                         key = ((i, j), r, exp)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasi3.arith import binom, rational_from_str, rational_to_str
+from quasi3.arith import binom, integer_scaled, rational_from_str, rational_to_str
 
 
 def test_binom_matches_math_comb_on_valid_range():
@@ -45,3 +45,14 @@ def test_rational_to_str_hides_unit_denominator():
 def test_rational_from_str_rejects_garbage(bad):
     with pytest.raises(ValueError):
         rational_from_str(bad)
+
+
+def test_integer_scaled_mixed_ints_and_fractions():
+    den, ints = integer_scaled([2, Fraction(1, 3), Fraction(-5, 4), 0])
+    assert den == 12
+    assert ints == [24, 4, -15, 0]
+    assert [Fraction(n, den) for n in ints] == [2, Fraction(1, 3), Fraction(-5, 4), 0]
+
+
+def test_integer_scaled_empty_row():
+    assert integer_scaled([]) == (1, [])

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from math import prod
 from pathlib import Path
 
@@ -163,6 +164,17 @@ def test_dims_agreement(capsys):
     obj = json.loads(out)
     assert obj["series"] == [1, 1, 2, 3, 6, 9, 13, 18, 24, 31]
     assert obj["agree"] is True
+
+
+def test_dims_cost_does_not_grow_with_m(capsys):
+    # no t^r coefficient of a degree-6 slice survives past r = 6, so every
+    # m >= 3 solves the same systems as m = 3
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "dims", "--m", "1000000000", "--max-degree", "6")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 5
+    assert (code, out) == run_cli(capsys, "dims", "--m", "3", "--max-degree", "6")[:2]
 
 
 def test_paths_count_golden(capsys):
@@ -489,6 +501,10 @@ def test_selftest_subset(capsys):
         pytest.param(
             ("selftest", "--only", "1,,2"),
             "--only takes criteria 1..10, got ''", id="selftest-empty-item",
+        ),
+        pytest.param(
+            ("selftest", "--only", ""),
+            "--only takes criteria 1..10, got ''", id="selftest-empty",
         ),
         pytest.param(
             ("identity", "sweep", "--seed", "1", "--trials", "0"),

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
+
 from quasi3.group_ops import (
     IDENTITY_LABELS,
     GroupAlgebraElement,
@@ -106,3 +108,36 @@ def test_apply_is_linear():
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         assert pi2.apply(p + q) == pi2.apply(p) + pi2.apply(q)
         assert pi2.apply(p * c) == pi2.apply(p) * c
+
+
+def test_element_is_immutable():
+    with pytest.raises(AttributeError, match="GroupAlgebraElement is immutable"):
+        make_element("pi1").terms = {}
+
+
+def test_bad_permutation_raises():
+    with pytest.raises(ValueError, match="not a permutation"):
+        GroupAlgebraElement({(1, 1, 2): 1})
+    with pytest.raises(ValueError, match="not a permutation"):
+        GroupAlgebraElement.from_perm((1, 2))
+
+
+def test_difference_with_itself_is_zero():
+    pi1 = make_element("pi1")
+    diff = pi1 - pi1
+    assert diff.terms == {}
+    assert diff == GroupAlgebraElement.zero()
+    assert not diff
+    assert not GroupAlgebraElement.zero()
+    assert pi1
+
+
+def test_equal_elements_hash_equal():
+    built = make_element("pi2")
+    expanded = GroupAlgebraElement(
+        {IDENTITY: Fraction(1, 3), S12: Fraction(1, 3), S23: Fraction(-1, 3),
+         (2, 3, 1): Fraction(-1, 3)}
+    )
+    assert built == expanded
+    assert hash(built) == hash(expanded)
+    assert len({built, expanded, make_element("pi2") * 1}) == 1

@@ -20,7 +20,6 @@ from quasi3.linsys import (
     nullspace_vectors,
     rank,
     restrict_Bm,
-    rref,
     system_columns,
     system_rows,
 )
@@ -94,7 +93,8 @@ def det_bareiss(matrix) -> Fraction:
 
 
 def rref_oracle(matrix):
-    """Gauss-Jordan elimination in Fractions, the reference for rref."""
+    """Gauss-Jordan elimination in Fractions, the reference for
+    nullspace_vectors and rank."""
     rows = [[Fraction(x) for x in row] for row in matrix]
     if not rows:
         return [], []
@@ -117,6 +117,22 @@ def rref_oracle(matrix):
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def kernel_oracle(matrix, ncols):
+    """Null space read from rref_oracle: one vector per free column f,
+    x_f = 1 and x_p = -row[f] at each pivot p, scaled so its first
+    nonzero coordinate is 1."""
+    rows, pivots = rref_oracle(matrix)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        lead = next(x for x in v if x)
+        basis.append(tuple(x / lead for x in v))
+    return basis
 
 
 # ints and Fractions mixed, as the callers pass them
@@ -162,9 +178,10 @@ checked = settings(max_examples=200, deadline=None, derandomize=True)
 @example([[], [], []])
 @example([[0, 0], [0, 0]])
 def test_rref_matches_fraction_gauss_jordan(matrix):
-    rows, pivots = rref(matrix)
-    assert (rows, pivots) == rref_oracle(matrix)
-    assert all(type(x) is Fraction for row in rows for x in row)
+    ncols = len(matrix[0]) if matrix else 0
+    basis = nullspace_vectors(matrix, ncols)
+    assert basis == kernel_oracle(matrix, ncols)
+    assert all(type(x) is Fraction for v in basis for x in v)
 
 
 @checked
@@ -197,7 +214,7 @@ def test_det_exact_nonzero_iff_full_rank(matrix):
 @given(matrices())
 @example([[], [], []])
 def test_rank_counts_rref_pivots(matrix):
-    assert rank(matrix) == len(rref(matrix)[1])
+    assert rank(matrix) == len(rref_oracle(matrix)[1])
 
 
 def test_det_exact_matches_bareiss_on_restricted_systems():
@@ -227,7 +244,7 @@ def test_det_exact_edge_cases():
 
 
 def test_det_exact_does_not_mutate_input():
-    for solve in (det_exact, rref, rank):
+    for solve in (det_exact, rank, lambda matrix: nullspace_vectors(matrix, 2)):
         entries = [[1, 2], [3, Fraction(4, 3)]]
         solve(entries)
         assert entries == [[1, 2], [3, Fraction(4, 3)]]
@@ -237,10 +254,9 @@ def test_rank_and_rref():
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[1, 0], [0, 1]]) == 2
     assert rank([[0, 0], [0, 0]]) == 0
-    rows, pivots = rref([[2, 4], [1, 2]])
-    assert rows[0] == [Fraction(1), Fraction(2)]
-    assert rows[1] == [Fraction(0), Fraction(0)]
-    assert pivots == [0]
+    rows, pivots = rref_oracle([[2, 4], [1, 2]])
+    assert rows == [[1, 2], [0, 0]] and pivots == [0]
+    assert nullspace_vectors([[2, 4], [1, 2]], 2) == [(1, Fraction(-1, 2))]
 
 
 def test_nullspace_vectors():
