@@ -254,15 +254,8 @@ def _sym_groups(P: Polynomial):
     """
     if P.apply_perm(S23) != P:
         return None
-    seen = set()
-    groups = []
-    for (a, b, c), coeff in P.sorted_terms():
-        if (a, b, c) in seen:
-            continue
-        i, j = max(b, c), min(b, c)
-        seen.add((a, b, c))
-        seen.add((a, c, b))
-        groups.append((a, i, j, coeff))
+    # one exponent per s23 orbit {(a, b, c), (a, c, b)}: the one with b >= c
+    groups = [(a, b, c, coeff) for (a, b, c), coeff in P.terms.items() if b >= c]
     groups.sort(key=lambda g: (-g[0], g[1], g[2]))
     return groups
 

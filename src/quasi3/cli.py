@@ -9,6 +9,7 @@ deterministic for a fixed argument list and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -32,32 +33,19 @@ def _str_rows(matrix):
 
 
 def _format_matrix(entries, row_labels=None, col_labels=None):
+    """Right-aligned columns; the column labels are one more row on top."""
     rows = _str_rows(entries)
-    head = [str(c) for c in col_labels] if col_labels else None
-    stubs = [str(r) for r in row_labels] if row_labels else [""] * len(rows)
-    stub_w = max((len(s) for s in stubs), default=0)
     ncols = len(rows[0]) if rows else 0
-    widths = [
-        max(
-            [len(rows[r][c]) for r in range(len(rows))]
-            + ([len(head[c])] if head else [])
-        )
-        for c in range(ncols)
-    ]
-    lines = []
-    if head:
-        lines.append(
-            " " * stub_w
-            + "  "
-            + "  ".join(head[c].rjust(widths[c]) for c in range(ncols))
-        )
-    for stub, row in zip(stubs, rows):
-        lines.append(
-            stub.rjust(stub_w)
-            + "  "
-            + "  ".join(row[c].rjust(widths[c]) for c in range(ncols))
-        )
-    return "\n".join(lines)
+    stubs = [str(r) for r in row_labels] if row_labels else [""] * len(rows)
+    if col_labels:
+        rows.insert(0, [str(c) for c in col_labels][:ncols])
+        stubs.insert(0, "")
+    stub_w = max(map(len, stubs), default=0)
+    widths = [max(len(row[c]) for row in rows) for c in range(ncols)]
+    return "\n".join(
+        stub.rjust(stub_w) + "  " + "  ".join(x.rjust(w) for x, w in zip(row, widths))
+        for stub, row in zip(stubs, rows)
+    )
 
 
 def _read_poly_file(path: str) -> Polynomial:
@@ -75,14 +63,6 @@ def _read_poly_file(path: str) -> Polynomial:
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed polynomial JSON in {path!r}: {exc}")
     return parse_poly(stripped)
-
-
-def _quasi_report_obj(report):
-    return {
-        "m": report.m,
-        "is_quasiinvariant": report.is_quasiinvariant,
-        "checks": [asdict(c) for c in report.checks],
-    }
 
 
 def _print_blocks(blocks, dets=None):
@@ -153,7 +133,13 @@ def cmd_check(args) -> int:
     P = _read_poly_file(args.poly)
     report = quasi.is_quasiinvariant(P, args.m)
     if args.format == "json":
-        _print_json(_quasi_report_obj(report))
+        _print_json(
+            {
+                "m": report.m,
+                "is_quasiinvariant": report.is_quasiinvariant,
+                "checks": [asdict(c) for c in report.checks],
+            }
+        )
     else:
         print(f"polynomial: {P}")
         for c in report.checks:
@@ -289,22 +275,11 @@ def cmd_paths(args) -> int:
 
 def _report_obj(report):
     """JSON object of a thm2 report; a thm1 report adds its two keys last."""
-    obj = {
-        "params": report.params,
-        "entries": _str_rows(report.entries),
-        "det": str(report.det),
-        "starts": [list(p) for p in report.starts],
-        "ends": [list(p) for p in report.ends],
-        "barrier": report.barrier,
-        "applicable": report.applicable,
-        "family_count": None if report.family_count is None else str(report.family_count),
-        "checked": report.checked,
-        "equal": report.equal,
-        "note": report.note,
-    }
-    if isinstance(report, paths.Thm1Report):
-        obj["prefactor"] = None if report.prefactor is None else str(report.prefactor)
-        obj["inner_params"] = list(report.inner_params)
+    obj = asdict(report)
+    obj["entries"] = _str_rows(report.entries)
+    for key in ("det", "family_count", "prefactor"):
+        if obj.get(key) is not None:
+            obj[key] = str(obj[key])
     return obj
 
 
@@ -442,7 +417,15 @@ def cmd_selftest(args) -> int:
     return OK if failed == 0 else MATH_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args keeps no state."""
+    # parents= copies each shared option into a subcommand; add_help=False
+    # keeps the parents from adding a second -h
+    m_opt, d_opt, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    m_opt.add_argument("--m", type=int, required=True)
+    d_opt.add_argument("--d", type=int, required=True)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
     parser = argparse.ArgumentParser(
         prog="quasi3",
         description=(
@@ -452,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("basis", help="construct and verify the six elements")
-    p.add_argument("--m", type=int, required=True)
+    p = sub.add_parser("basis", parents=[m_opt], help="construct and verify the six elements")
     p.add_argument(
         "--verify", choices=basis.VERIFY_LEVELS, default="quasi",
         help="verification depth (default: quasi)",
@@ -461,66 +443,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
     p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser("check", help="check a polynomial file for quasiinvariance")
-    p.add_argument("--m", type=int, required=True)
+    p = sub.add_parser(
+        "check", parents=[m_opt, fmt], help="check a polynomial file for quasiinvariance"
+    )
     p.add_argument("--poly", required=True, help="file with JSON or text polynomial")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("system", help="print a coefficient system")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser("system", parents=[m_opt, d_opt, fmt], help="print a coefficient system")
     p.add_argument("--restrict-bm", action="store_true")
     p.add_argument("--blocks", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_system)
 
-    p = sub.add_parser("blocks", help="print the diagonal blocks and their dets")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_blocks)
+    sub.add_parser(
+        "blocks", parents=[m_opt, d_opt, fmt], help="print the diagonal blocks and their dets"
+    ).set_defaults(func=cmd_blocks)
+    sub.add_parser(
+        "det", parents=[m_opt, d_opt, fmt], help="determinant vs product of block dets"
+    ).set_defaults(func=cmd_det)
 
-    p = sub.add_parser("det", help="determinant vs product of block dets")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_det)
-
-    p = sub.add_parser("dims", help="graded dimensions vs the series")
-    p.add_argument("--m", type=int, required=True)
+    p = sub.add_parser("dims", parents=[m_opt, fmt], help="graded dimensions vs the series")
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("paths", help="lattice path counting")
     psub = p.add_subparsers(dest="paths_command", required=True)
-    pc = psub.add_parser("count", help="count barrier-avoiding paths")
+    pc = psub.add_parser("count", parents=[fmt], help="count barrier-avoiding paths")
     pc.add_argument("--start", required=True, metavar="X0,Y0")
     pc.add_argument("--end", required=True, metavar="X1,Y1")
     pc.add_argument("--barrier", type=int, default=None, metavar="L")
-    pc.add_argument("--format", choices=("text", "json"), default="text")
     pc.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("identity", help="verify a determinant identity")
     isub = p.add_subparsers(dest="identity_command", required=True)
-    i1 = isub.add_parser("thm1", help="prefactor times family count")
-    i1.add_argument("--params", required=True, metavar="C,D,E,ALPHA,BETA,K")
-    i1.add_argument("--format", choices=("text", "json"), default="text")
-    i1.set_defaults(func=cmd_identity)
-    i2 = isub.add_parser("thm2", help="determinant equals family count")
-    i2.add_argument("--params", required=True, metavar="A,B,C,D,E,N")
-    i2.add_argument("--format", choices=("text", "json"), default="text")
-    i2.set_defaults(func=cmd_identity)
+    for kind, help_, metavar in (
+        ("thm1", "prefactor times family count", "C,D,E,ALPHA,BETA,K"),
+        ("thm2", "determinant equals family count", "A,B,C,D,E,N"),
+    ):
+        pi = isub.add_parser(kind, parents=[fmt], help=help_)
+        pi.add_argument("--params", required=True, metavar=metavar)
+        pi.set_defaults(func=cmd_identity)
     isw = isub.add_parser("sweep", help="seeded random verification sweep")
     isw.add_argument("--seed", type=int, required=True)
     isw.add_argument("--trials", type=int, required=True)
     isw.set_defaults(func=cmd_identity_sweep)
 
-    p = sub.add_parser("identities", help="group algebra identity checks")
+    p = sub.add_parser("identities", parents=[fmt], help="group algebra identity checks")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
@@ -531,8 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

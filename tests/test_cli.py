@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import quasi3
-from quasi3.cli import main
+from quasi3.cli import build_parser, main
 from quasi3.linsys import extract_blocks
 from quasi3.poly import Polynomial, parse_poly
 from test_linsys import det_bareiss
@@ -239,6 +240,55 @@ def test_identity_sweep_deterministic(capsys):
         assert entry["kind"] in ("thm1", "thm2")
 
 
+def test_sweep_instances_with_negative_first_param_replay(capsys):
+    # argparse reads "--params -1,..." as a missing value; "--params=-1,..."
+    # is the form that replays such an instance
+    code, out, _ = run_cli(capsys, "identity", "sweep", "--seed", "7", "--trials", "25")
+    assert code == 0
+    results = json.loads(out)["results"]
+    for kind, params in (("thm2", (-1, 3, 0, 1, 7, 1)), ("thm1", (-1, 1, -3, 1, 1, 1))):
+        (swept,) = [
+            r for r in results
+            if r["kind"] == kind and tuple(r["params"].values()) == params
+        ]
+        text = ",".join(map(str, params))
+        code, out, _ = run_cli(capsys, "identity", kind, f"--params={text}", "--format", "json")
+        assert code == 0
+        assert {**json.loads(out), "kind": kind} == swept
+
+
+def test_parser_is_built_once(capsys):
+    assert build_parser() is build_parser()
+    argv = ["det", "--m", "1", "--d", "4"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert unreachable < 50
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("det", "--m", "1", "--d", "4", "--format", "latex"), id="det-latex"),
+        pytest.param(("dims", "--max-degree", "3"), id="dims-without-m"),
+        pytest.param(
+            ("identity", "thm2", "--params", "-1,3,0,1,7,1"), id="params-negative-first",
+        ),
+    ],
+)
+def test_argparse_rejects_bad_options(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 # Exit code and stdout sha256 of outputs pinned byte for byte; "{poly}"
 # stands for a file holding GOLDEN_A1_M1.
 @pytest.mark.parametrize(
@@ -393,6 +443,26 @@ def test_identity_sweep_deterministic(capsys):
             "identities --samples 20 --seed 7 --format json", 0,
             "3ab1975aa1c88413afcc9506e55c98d613b725599b21efffdbded70f597ce538",
             id="identities-json",
+        ),
+        pytest.param(
+            "system --m 0 --d 1", 0,
+            "c39a1822e7cb84a11e5d21c3b93ccf573c6e4eb6fc47ac61055c231db4e63b2c",
+            id="system-no-rows-text",
+        ),
+        pytest.param(
+            "system --m 2 --d 7", 0,
+            "b7d3c2650db3b040d6f35225a7428a2018760f9854c3207c4c8366f0fb64e2ee",
+            id="system-m2-text",
+        ),
+        pytest.param(
+            "basis --m 3 --format latex", 0,
+            "58aa5cae200220ae1b0fd88ce73a077999ac3e84d876f3c7f4901f2431b06536",
+            id="basis-m3-latex",
+        ),
+        pytest.param(
+            "check --m 1 --poly {poly}", 0,
+            "4e101399eea83145d42dbbe91a12315e7b7bb0975cdd863c16d38a01233be48a",
+            id="check-m1-text",
         ),
     ],
 )
