@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from math import comb, lcm
 
-_RAT_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+_RAT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
 
 def binom(n: int, k: int) -> int:
@@ -42,9 +42,12 @@ def rational_to_str(value) -> str:
 def rational_from_str(text: str) -> Fraction:
     """Parse "num" or "num/den".  Rejects anything else, including floats."""
     text = text.strip()
-    if not _RAT_RE.match(text):
+    match = _RAT_RE.match(text)
+    if not match:
         raise ValueError(f"not an exact rational: {text!r}")
+    # two ints skip Fraction's own string parsing
+    num, den = match.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None

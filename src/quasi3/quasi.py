@@ -4,7 +4,12 @@ A polynomial P is m-quasiinvariant when, for every transposition s_ij,
 the difference (1 - s_ij) P is divisible by (x_i - x_j)^(2m+1).
 Divisibility is decided exactly by a Taylor shift: substituting
 x_i = x_j + t, (x_i - x_j)^p divides a polynomial when its coefficients
-of t^0 .. t^(p-1) vanish.
+of t^0 .. t^(p-1) vanish.  The search runs on integer numerators.
+
+Parity halves the search.  s_ij sends t to -t, so a polynomial that s_ij
+negates, such as (1 - s_ij) P, has its lowest nonzero Taylor order odd,
+and one that s_ij fixes has it even; only those orders are built, as the
+constraint rows (k, l) of linsys.system_rows keep only odd l.
 
 The module also provides the degree-d slice of the m-quasiinvariant ring
 (graded_qi_basis), independence modulo the part of the slice generated
@@ -24,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
-from .arith import binom, integer_scaled
+from .arith import integer_scaled
 from .linsys import nullspace_vectors, rank
 from .poly import (
     S12,
@@ -49,6 +55,13 @@ def _integer_terms(P: Polynomial):
     return den, list(zip(P.terms, nums))
 
 
+def _swapped(exp, i: int, j: int):
+    """exp with the exponents of x_i and x_j swapped: s_ij on a monomial."""
+    out = list(exp)
+    out[i - 1], out[j - 1] = exp[j - 1], exp[i - 1]
+    return tuple(out)
+
+
 def _shift_coefficient(terms, i: int, j: int, r: int):
     """Numerators of the t^r coefficient of P with x_i = x_j + t.
 
@@ -63,26 +76,34 @@ def _shift_coefficient(terms, i: int, j: int, r: int):
             shifted[i - 1] = 0
             shifted[j - 1] += a - r
             key = tuple(shifted)
-            out[key] = out.get(key, 0) + num * binom(a, r)
+            out[key] = out.get(key, 0) + num * comb(a, r)
     return out
+
+
+def _first_nonzero_order(terms, i: int, j: int, orders):
+    """The first r in orders whose t^r coefficient is nonzero, else None.
+
+    The coefficients are computed one at a time and the search stops
+    there.
+    """
+    return next(
+        (r for r in orders if any(_shift_coefficient(terms, i, j, r).values())),
+        None,
+    )
 
 
 def largest_dividing_power(P: Polynomial, i: int, j: int):
     """Largest p with (x_i - x_j)^p | P, or None when P is zero.
 
-    That is the lowest r with a nonzero Taylor coefficient c_r; the
-    coefficients are computed one at a time and the search stops there.
+    That is the lowest r with a nonzero Taylor coefficient c_r, searched
+    over every order.
     """
     if P.is_zero():
         return None
     _check_pair(i, j)
     _, terms = _integer_terms(P)
     # c_r for r = deg_{x_i} P is the leading x_i coefficient, never zero
-    return next(
-        r
-        for r in range(P.var_degree(i) + 1)
-        if any(_shift_coefficient(terms, i, j, r).values())
-    )
+    return _first_nonzero_order(terms, i, j, range(P.var_degree(i) + 1))
 
 
 @dataclass(frozen=True)
@@ -109,9 +130,19 @@ def is_quasiinvariant(P: Polynomial, m: int) -> QuasiReport:
     if m < 0:
         raise ValueError("m must be nonnegative")
     need = 2 * m + 1
+    _, terms = _integer_terms(P)
     checks = []
-    for (i, j), perm in TRANSPOSITIONS.items():
-        power = largest_dividing_power(P - P.apply_perm(perm), i, j)
+    for i, j in TRANSPOSITIONS:
+        # (1 - s_ij) P on the numerators
+        diff = {}
+        for exp, num in terms:
+            swapped = _swapped(exp, i, j)
+            diff[exp] = diff.get(exp, 0) + num
+            diff[swapped] = diff.get(swapped, 0) - num
+        diff = [(exp, num) for exp, num in diff.items() if num]
+        # s_ij negates the difference, so its lowest nonzero order is odd
+        top = max((exp[i - 1] for exp, _ in diff), default=0)
+        power = _first_nonzero_order(diff, i, j, range(1, top + 1, 2))
         checks.append(
             TranspositionCheck(
                 pair=(i, j),
@@ -145,7 +176,7 @@ def coinvariant_nf(P: Polynomial):
     for (a, b, c), coeff in P.terms.items():
         # substitute x1^a = (-(x2 + x3))^a
         for t in range(a + 1):
-            _add((b + t, c + a - t), coeff * (-1) ** a * binom(a, t))
+            _add((b + t, c + a - t), coeff * (-1) ** a * comb(a, t))
     # eliminate x2 powers >= 2, then x3 powers >= 3
     while True:
         offender = next((key for key in work if key[0] >= 2), None)
@@ -172,21 +203,29 @@ def monomials_of_degree(d: int):
     ]
 
 
-def _taylor_kernel(columns, count: int):
+def _taylor_kernel(columns, orders):
     """Null space of the Taylor conditions on unknown coefficients.
 
     columns maps a pair (i, j) to one integer-term list per unknown.  The
-    rows say that the coefficients of t^0 .. t^(count-1) vanish, with
+    rows say that the coefficients of t^r, r in orders, vanish, with
     x_i = x_j + t, in the combination of those term lists; there is one
     row per (pair, r, monomial), built on integers.  r stops at the
     largest x_i power, past which no t^r coefficient survives.
+
+    The callers pass one parity of orders only.  When every combination
+    is negated by s_ij its lowest nonzero order is odd, and when every one
+    is fixed by s_ij it is even, so the orders of the other parity add no
+    condition and the null space is the one of all orders (the same
+    parity fact keeps only odd l in linsys.system_rows).
     """
     ncols = len(next(iter(columns.values())))
     row_map = {}
     for (i, j), unknowns in columns.items():
         for pos, terms in enumerate(unknowns):
             top = max(exp[i - 1] for exp, _ in terms)
-            for r in range(min(count, top + 1)):
+            for r in orders:
+                if r > top:
+                    break
                 for exp, num in _shift_coefficient(terms, i, j, r).items():
                     if num:
                         key = ((i, j), r, exp)
@@ -216,6 +255,8 @@ def graded_qi_basis(m: int, d: int):
     each scaled so its first nonzero coefficient in canonical monomial
     order is 1.  For a monomial P, (1 - s_ij) P is P minus P with the
     exponents of x_i and x_j swapped, so every row entry is an integer.
+    s_ij negates (1 - s_ij) P, so only the odd orders r < 2m + 1 are
+    built (see _taylor_kernel).
     """
     if m < 0 or d < 0:
         raise ValueError("m and d must be nonnegative")
@@ -224,12 +265,10 @@ def graded_qi_basis(m: int, d: int):
     for i, j in TRANSPOSITIONS:
         columns[(i, j)] = []
         for mono in monos:
-            swapped = list(mono)
-            swapped[i - 1], swapped[j - 1] = mono[j - 1], mono[i - 1]
-            columns[(i, j)].append([(mono, 1), (tuple(swapped), -1)])
+            columns[(i, j)].append([(mono, 1), (_swapped(mono, i, j), -1)])
     return [
         Polynomial({monos[pos]: c for pos, c in enumerate(v) if c})
-        for v in _taylor_kernel(columns, 2 * m + 1)
+        for v in _taylor_kernel(columns, range(1, 2 * m + 1, 2))
     ]
 
 
@@ -284,7 +323,8 @@ def antisymmetric_qi_basis(m: int, d: int):
     f is written in the monomial symmetric functions m_lambda, lambda a
     partition of d - 3 with at most three parts; the rows are the
     coefficients of t^0 .. t^(2m-1) of f with x1 = x2 + t, built on
-    integers.  Empty for d < 3.
+    integers.  f is symmetric, so only the even orders are built (see
+    _taylor_kernel).  Empty for d < 3.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -296,7 +336,7 @@ def antisymmetric_qi_basis(m: int, d: int):
     return [
         delta
         * Polynomial({exp: c for support, c in zip(supports, v) for exp in support})
-        for v in _taylor_kernel(columns, 2 * m)
+        for v in _taylor_kernel(columns, range(0, 2 * m, 2))
     ]
 
 

@@ -47,6 +47,18 @@ def test_rational_from_str_rejects_garbage(bad):
         rational_from_str(bad)
 
 
+def test_rational_from_str_names_a_zero_denominator():
+    for text in ("1/0", "-7/00"):
+        with pytest.raises(ValueError) as exc:
+            rational_from_str(text)
+        assert str(exc.value) == f"zero denominator: {text!r}"
+
+
+def test_rational_from_str_matches_fraction_on_valid_text():
+    for text in ("0", "-0/5", "+6/8", "-22/7", "12345678901234567890/3", "007/014"):
+        assert rational_from_str(f" {text} ") == Fraction(text)
+
+
 def test_integer_scaled_mixed_ints_and_fractions():
     den, ints = integer_scaled([2, Fraction(1, 3), Fraction(-5, 4), 0])
     assert den == 12

@@ -104,6 +104,18 @@ def test_check_malformed_file_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, body", [("poly.txt", "1/0*x1 + x2\n"), ("poly.json", '[{"e":[1,0,0],"c":"1/0"}]')]
+)
+def test_check_zero_denominator_is_usage_error(tmp_path, capsys, name, body):
+    target = tmp_path / name
+    target.write_text(body)
+    code, out, err = run_cli(capsys, "check", "--m", "1", "--poly", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == "error: zero denominator: '1/0'\n"
+
+
+@pytest.mark.parametrize(
     "body",
     [
         '[{"e":[1,0,0],"c":1}]',

@@ -4,15 +4,24 @@ for independence modulo the ideal part on both routes."""
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasi3.group_ops import make_element
-from quasi3.linsys import rank
-from quasi3.poly import ALL_PERMS, Polynomial, elementary, vandermonde_power
+from quasi3.linsys import nullspace_vectors, rank
+from quasi3.poly import (
+    ALL_PERMS,
+    TRANSPOSITIONS,
+    Polynomial,
+    elementary,
+    vandermonde,
+    vandermonde_power,
+)
 from quasi3.quasi import (
     antisymmetric_independent_modulo_ideal,
+    antisymmetric_qi_basis,
     graded_qi_basis,
     independent_modulo_ideal,
     is_quasiinvariant,
@@ -80,6 +89,82 @@ def test_largest_power_of_a_planted_factor(base, pair, k):
     assume(not at_diagonal(base, i, j).is_zero())
     t = Polynomial.variable(i) - Polynomial.variable(j)
     assert largest_dividing_power(base * t**k, i, j) == k
+
+
+def planted(base, pair, k):
+    i, j = pair
+    return base * (Polynomial.variable(i) - Polynomial.variable(j)) ** k
+
+
+def delta_product(base, k, e):
+    return base * vandermonde_power(k) * elementary(e)
+
+
+# random P, P (x_i - x_j)^k and P Delta^k e_j: high powers of every pair
+divisible_polys = (
+    polys
+    | st.builds(planted, polys, pairs, st.integers(0, 9))
+    | st.builds(delta_product, polys, st.integers(0, 7), st.integers(1, 3))
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(divisible_polys, st.integers(0, 4))
+def test_odd_order_search_matches_all_orders(P, m):
+    """is_quasiinvariant searches odd orders only; largest_dividing_power
+    on P - s_ij P, searching every order, is the oracle."""
+    report = is_quasiinvariant(P, m)
+    for check, (pair, perm) in zip(report.checks, TRANSPOSITIONS.items()):
+        power = largest_dividing_power(P - P.apply_perm(perm), *pair)
+        assert check.pair == pair
+        assert check.largest_power == power
+        assert check.difference_zero == (power is None)
+        assert power is None or power % 2 == 1
+        assert check.divisible == (power is None or power >= 2 * m + 1)
+
+
+def all_orders_kernel(unknowns, count):
+    """Null space of "the t^0 .. t^(count-1) coefficients vanish" for
+    every pair and every order; unknowns maps a pair to one polynomial
+    per unknown coefficient."""
+    ncols = len(next(iter(unknowns.values())))
+    rows = {}
+    for (i, j), column_polys in unknowns.items():
+        for pos, Q in enumerate(column_polys):
+            for r, c in enumerate(taylor_coefficients(Q, i, j, count)):
+                for exp, coeff in c.terms.items():
+                    rows.setdefault((i, j, r, exp), [0] * ncols)[pos] += coeff
+    return nullspace_vectors(list(rows.values()), ncols)
+
+
+def test_slices_match_all_order_rows():
+    for m, d in product(range(4), range(14)):
+        monos = monomials_of_degree(d)
+        unknowns = {
+            pair: [Polynomial({mono: 1}) for mono in monos] for pair in TRANSPOSITIONS
+        }
+        for pair, perm in TRANSPOSITIONS.items():
+            unknowns[pair] = [Q - Q.apply_perm(perm) for Q in unknowns[pair]]
+        expected = [
+            Polynomial({mono: c for mono, c in zip(monos, v)})
+            for v in all_orders_kernel(unknowns, 2 * m + 1)
+        ]
+        assert graded_qi_basis(m, d) == expected, (m, d)
+
+        # Delta f with f symmetric and (x1 - x2)^(2m) | f, in the monomial
+        # symmetric functions of the partitions of d - 3, descending
+        n = d - 3
+        parts = sorted(
+            (lam for lam in product(range(n + 1), repeat=3)
+             if sum(lam) == n and lam[0] >= lam[1] >= lam[2]),
+            reverse=True,
+        )
+        sym = [Polynomial({exp: 1 for exp in permutations(lam)}) for lam in parts]
+        expected = [
+            vandermonde() * sum((c * f for c, f in zip(v, sym)), Polynomial.zero())
+            for v in (all_orders_kernel({(1, 2): sym}, 2 * m) if sym else [])
+        ]
+        assert antisymmetric_qi_basis(m, d) == expected, (m, d)
 
 
 @lru_cache(maxsize=None)
