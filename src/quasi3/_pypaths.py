@@ -1,22 +1,12 @@
-"""Lattice path counting kernels, in pure Python with no size limits.
+"""Lattice path counting kernels in pure Python: pure kernels; callers guard.
 
 Paths take unit NORTH (+y) and WEST (-x) steps.  A barrier L forbids
 every vertex with x + y == L.  Families pair starts[t] with ends[t] and
-count tuples of pairwise vertex-disjoint paths.
+count tuples of pairwise vertex-disjoint paths.  Neither kernel bounds
+its own work: paths._count_family decides whether a family is counted.
 """
 
 from __future__ import annotations
-
-
-class BudgetExceeded(Exception):
-    """Family enumeration would visit more tuples than the budget allows."""
-
-    def __init__(self, product, budget):
-        super().__init__(
-            f"enumeration budget exceeded: {product} candidate tuples > {budget}"
-        )
-        self.product = product
-        self.budget = budget
 
 
 def dp_count(x0: int, y0: int, x1: int, y1: int, barrier) -> int:
@@ -40,32 +30,17 @@ def dp_count(x0: int, y0: int, x1: int, y1: int, barrier) -> int:
     return col[height]
 
 
-def guard_product(starts, ends, barrier) -> int:
-    """Product of the single-path counts starts[t] -> ends[t]: the number
-    of candidate tuples a family enumeration would visit."""
-    product = 1
-    for (sx, sy), (ex, ey) in zip(starts, ends):
-        product *= dp_count(sx, sy, ex, ey, barrier)
-    return product
-
-
-def family_count(starts, ends, barrier, budget: int) -> int:
+def family_count(starts, ends, barrier) -> int:
     """Count pairwise vertex-disjoint path tuples, starts[t] -> ends[t].
 
-    The a-priori guard is the product of the individual barrier-avoiding
-    path counts; when it exceeds the budget a BudgetExceeded is raised
-    (distinct from a plain zero count).
+    Walks every candidate tuple, recursing once per lattice step, so a
+    long enough path raises RecursionError.
     """
     k = len(starts)
     if k != len(ends):
         raise ValueError("starts and ends must pair up")
     if k == 0:
         return 1
-    product = guard_product(starts, ends, barrier)
-    if product == 0:
-        return 0
-    if product > budget:
-        raise BudgetExceeded(product, budget)
 
     top = max(y for _, y in ends) + 1
 

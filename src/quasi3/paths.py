@@ -10,9 +10,10 @@ Three routes to the same numbers, kept deliberately separate:
   binom(h, s) - binom(h, L - s) for (s, s) -> (0, h); valid exactly when
   L is not strictly between the endpoint line-sums 2s and h
   (formula_applicable decides this).
-* count_families_bruteforce: exhaustive enumeration of pairwise
-  vertex-disjoint path tuples, guarded by the fixed ENUMERATION_BUDGET
-  on the product of the single-path counts.
+* _pypaths.family_count: exhaustive enumeration of pairwise
+  vertex-disjoint path tuples.  _count_family runs it only when the
+  product of the single-path counts (guard_product) is at most the
+  fixed ENUMERATION_BUDGET.
 
 verify_thm2 checks det[ binom(a+bi, c+dj) - binom(a+bi, e-dj) ] against
 the family count for starts (c+dj, c+dj), ends (0, a+bi), barrier c+e;
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._pypaths import BudgetExceeded, dp_count, family_count, guard_product
+from ._pypaths import dp_count, family_count
 from .arith import binom
 from .linsys import MAX_ORDER, det_exact
 
@@ -38,6 +39,15 @@ from .linsys import MAX_ORDER, det_exact
 ENUMERATION_BUDGET = 10**7
 # Sweeps keep only instances whose guard_product is at most this.
 SWEEP_PRODUCT_CAP = 200000
+
+
+def guard_product(starts, ends, barrier) -> int:
+    """Product of the single-path counts starts[t] -> ends[t]: the number
+    of candidate tuples a family enumeration would visit."""
+    product = 1
+    for (sx, sy), (ex, ey) in zip(starts, ends):
+        product *= dp_count(sx, sy, ex, ey, barrier)
+    return product
 
 
 def _check_point(pt):
@@ -74,16 +84,6 @@ def formula_applicable(s: int, h: int, L) -> bool:
     if L is None:
         return True
     return not (min(2 * s, h) < L < max(2 * s, h))
-
-
-def count_families_bruteforce(starts, ends, barrier) -> int:
-    """Exhaustively count pairwise vertex-disjoint path families.
-
-    Raises BudgetExceeded when the product of the individual path counts
-    is larger than ENUMERATION_BUDGET.  The walk recurses once per
-    lattice step, so a long enough path raises RecursionError.
-    """
-    return family_count(starts, ends, barrier, ENUMERATION_BUDGET)
 
 
 # --- determinant identity: diagonal starts, axis ends ----------------------
@@ -131,24 +131,29 @@ class Thm2Report:
 def _count_family(report, factor):
     """Count the report's path family and compare det with factor * count.
 
-    The one place a report is left unchecked, with a note saying why: no
-    factor (thm1's prefactor denominator vanishes), unusable endpoints,
-    a family over ENUMERATION_BUDGET, or a walk deeper than the recursion
-    limit.  Writes only note, family_count, checked and equal; never
-    applicable, which formula_applicable already makes False wherever an
-    endpoint leaves the first quadrant.
+    The one place that decides whether a family is counted.  A report is
+    left unchecked, with a note saying why, at the first of these, tried
+    in order: no factor (thm1's prefactor denominator vanishes), unusable
+    endpoints, a guard_product over ENUMERATION_BUDGET, a walk deeper
+    than the recursion limit.  A guard_product of 0 is a checked 0, with
+    no walk.  Writes only note, family_count, checked and equal; never
+    applicable, which formula_applicable already makes False wherever
+    an endpoint leaves the first quadrant.
     """
     if factor is None:
         return replace(report, note="prefactor denominator vanishes")
+    starts, ends, L = report.starts, report.ends, report.barrier
     try:
-        for point in report.starts + report.ends:
+        for point in starts + ends:
             _check_point(point)
     except ValueError as exc:
         return replace(report, note=f"family endpoints unusable: {exc}")
+    product = guard_product(starts, ends, L)
+    if product > ENUMERATION_BUDGET:
+        note = f"{product} candidate tuples > {ENUMERATION_BUDGET}"
+        return replace(report, note=f"enumeration budget exceeded: {note}")
     try:
-        count = count_families_bruteforce(report.starts, report.ends, report.barrier)
-    except BudgetExceeded as exc:
-        return replace(report, note=str(exc))
+        count = family_count(starts, ends, L) if product else 0
     except RecursionError:
         return replace(report, note="family walk deeper than the recursion limit")
     return replace(
@@ -283,7 +288,7 @@ def thm2_grid(coord_bound: int, nmax: int):
 
     Yields (a, b, c, d, e, n) tuples whose endpoints stay within
     coord_bound, whose entries are all formula-valid, and whose guard
-    product is at most SWEEP_PRODUCT_CAP.
+    product is at most SWEEP_PRODUCT_CAP; the loop ranges keep n, b, d >= 1.
     """
     for n in range(1, nmax + 1):
         for b in range(1, 4):
@@ -296,9 +301,9 @@ def thm2_grid(coord_bound: int, nmax: int):
                             continue
                         for L in range(-1, 2 * coord_bound + 2):
                             e = L - c
-                            if not thm2_instance_applicable(a, b, c, d, e, n):
-                                continue
                             endpoints = thm2_endpoints(a, b, c, d, e, n)
+                            if not _entries_applicable(*endpoints):
+                                continue
                             if guard_product(*endpoints) > SWEEP_PRODUCT_CAP:
                                 continue
                             yield (a, b, c, d, e, n)

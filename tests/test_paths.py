@@ -1,18 +1,18 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasi3 import _pypaths, paths
 from quasi3.arith import binom
 from quasi3.linsys import MAX_ORDER
 from quasi3.paths import (
-    BudgetExceeded,
     block_instance_params,
-    count_families_bruteforce,
     count_paths_dp,
     formula_applicable,
     sample_thm1_instances,
@@ -128,36 +128,102 @@ def test_path_problem_validation():
 
 def test_family_problem_validation():
     with pytest.raises(ValueError, match="pair up"):
-        count_families_bruteforce(((1, 1), (2, 2)), ((0, 5),), None)
+        _pypaths.family_count(((1, 1), (2, 2)), ((0, 5),), None)
 
 
 def test_single_family_equals_single_path():
     for s in range(0, 4):
         for h in range(s, 8):
-            family = count_families_bruteforce(((s, s),), ((0, h),), 11)
+            family = _pypaths.family_count(((s, s),), ((0, h),), 11)
             assert family == count_paths_dp((s, s), (0, h), 11)
 
 
 def test_crossing_pairing_counts_zero():
     # end of the second path sits on every route of the first
     starts = ((0, 0), (1, 1))
-    assert count_families_bruteforce(starts, ((0, 5), (0, 3)), None) == 0
-    assert count_families_bruteforce(starts, ((0, 3), (0, 5)), None) > 0
+    assert _pypaths.family_count(starts, ((0, 5), (0, 3)), None) == 0
+    assert _pypaths.family_count(starts, ((0, 3), (0, 5)), None) > 0
+
+
+def lattice_paths(start, end, barrier):
+    """Vertex sets of every barrier-avoiding N/W path from start to end."""
+    (x0, y0), (x1, y1) = start, end
+    if x1 > x0 or y1 < y0:
+        return []
+    west, north = x0 - x1, y1 - y0
+    found = []
+    for steps in itertools.combinations(range(west + north), north):
+        x, y = start
+        vertices = [start]
+        for t in range(west + north):
+            if t in steps:
+                y += 1
+            else:
+                x -= 1
+            vertices.append((x, y))
+        if barrier is None or all(x + y != barrier for x, y in vertices):
+            found.append(frozenset(vertices))
+    return found
+
+
+def oracle_family_count(starts, ends, barrier):
+    """Tuples of single paths whose vertex sets are pairwise disjoint."""
+    per_pair = [lattice_paths(s, e, barrier) for s, e in zip(starts, ends)]
+    return sum(
+        all(p.isdisjoint(q) for p, q in itertools.combinations(family, 2))
+        for family in itertools.product(*per_pair)
+    )
+
+
+pair = st.tuples(
+    st.integers(0, 5), st.integers(0, 5), st.integers(0, 4), st.integers(0, 5)
+).map(lambda t: ((t[0], t[1]), (max(t[0] - t[2], 0), t[1] + t[3])))
+
+
+@checked
+@given(
+    st.lists(pair, min_size=1, max_size=3),
+    st.sampled_from(("ascending", "descending")),
+    st.one_of(st.none(), st.integers(0, 12)),
+)
+def test_family_count_matches_oracle(pairs, order, barrier):
+    # thm2 lists its pairs in ascending order, thm1 in descending order
+    pairs = sorted(pairs, reverse=(order == "descending"))
+    starts = tuple(s for s, _ in pairs)
+    ends = tuple(e for _, e in pairs)
+    assume(paths.guard_product(starts, ends, barrier) <= 2000)
+    want = oracle_family_count(starts, ends, barrier)
+    assert _pypaths.family_count(starts, ends, barrier) == want
 
 
 def test_budget_exceeded_is_distinct_from_zero():
-    starts, ends = ((4, 4),), ((0, 12),)
-    with mock.patch.object(paths, "ENUMERATION_BUDGET", 3):
-        with pytest.raises(BudgetExceeded) as info:
-            count_families_bruteforce(starts, ends, None)
-        # an impossible family returns plain zero no matter how small the budget
-        assert count_families_bruteforce(starts, ends, 8) == 0
-    assert info.value.product == binom(12, 4)
-    assert info.value.budget == 3
+    # _count_family decides before any walk: over the budget the report is
+    # unchecked, a zero guard product is a checked zero, and only a family
+    # within the budget reaches the counter
+    refuse = mock.patch.object(
+        paths, "family_count", side_effect=AssertionError("counter called")
+    )
+    with refuse, mock.patch.object(paths, "ENUMERATION_BUDGET", 1):
+        over = verify_thm2(4, 1, 1, 1, 6, 2)
+    assert not over.checked
+    assert over.note == "enumeration budget exceeded: 45 candidate tuples > 1"
+
+    # the barrier x + y = 4 runs through the start (2, 2)
+    with refuse:
+        zero = verify_thm2(4, 1, 1, 1, 3, 1)
+    assert paths.guard_product(zero.starts, zero.ends, zero.barrier) == 0
+    assert zero.checked and zero.equal
+    assert zero.family_count == 0
+    assert zero.note == ""
+
+    with mock.patch.object(paths, "family_count", wraps=_pypaths.family_count) as spy:
+        within = verify_thm2(4, 1, 1, 1, 6, 2)
+    assert spy.call_count == 1
+    assert within.checked and within.equal
 
 
 def test_empty_family_counts_one():
-    assert _pypaths.family_count((), (), None, 10) == 1
+    assert _pypaths.family_count((), (), None) == 1
 
 
 def test_thm2_endpoints_and_applicability():
@@ -315,6 +381,18 @@ def test_thm2_grid_is_deterministic_and_applicable():
         assert thm2_instance_applicable(*inst)
         report = verify_thm2(*inst)
         assert report.checked and report.equal
+
+
+def test_thm2_grids_are_pinned():
+    # size and sha256 of each grid's repr: any change to the sweep shows
+    want = {
+        (8, 2): (4528, "29a93382d6cd0dc2f495c42d936a201837d8cae0b887537b8d0bfca2d4a12ff5"),
+        (12, 3): (13839, "12c81c0f9a3c4d883661c2e5dff5f26ee9cde19ef7172040e23591e2cd0c221d"),
+    }
+    for (coord_bound, nmax), (size, digest) in want.items():
+        grid = list(thm2_grid(coord_bound, nmax))
+        assert len(grid) == size
+        assert hashlib.sha256(repr(grid).encode()).hexdigest() == digest
 
 
 def test_identity_matrix_size_max_order_accepted():

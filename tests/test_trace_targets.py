@@ -3,10 +3,11 @@
 perfbench/tracer.py looks its targets up by module and attribute path and
 reports a vanished one only as a missing layer whose metrics read 0, so a
 refactor that renames or deletes a traced function would go unnoticed.
-The names below are dead already; ROADMAP item 1 (benchmark upkeep)
-drops or retargets them.  perfbench/run.py's set-up probe imports the
-CLI and builds its parser, so a rename there would only fail the
-benchmark run.
+The names below are dead already (paths._count_family calls
+_pypaths.family_count directly, so paths.count_families_bruteforce is
+gone); ROADMAP item 1 (benchmark upkeep) drops or retargets them.
+perfbench/run.py's set-up probe imports the CLI and builds its parser,
+so a rename there would only fail the benchmark run.
 """
 
 import importlib
@@ -17,7 +18,12 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-KNOWN_DEAD = {"quasi.remainder_tower", "quasi.in_ideal_part", "linsys.rref"}
+KNOWN_DEAD = {
+    "quasi.remainder_tower",
+    "quasi.in_ideal_part",
+    "linsys.rref",
+    "paths.count_families_bruteforce",
+}
 
 
 def load_perfbench(name):
