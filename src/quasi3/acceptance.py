@@ -166,16 +166,23 @@ def criterion_4():
     return True, "all six elements verified for m <= 6"
 
 
-@_criterion("dimension series m=1", 60.0)
+@_criterion("dimension series m=1..4", 60.0)
 def criterion_5():
-    """Graded slice dimensions match the series for m=1, degrees 0..9."""
+    """Graded slice dimensions match the series: for m=1, degrees 0..9,
+    from the full slices; for m=2..4, degrees 0..6m+5, counted by
+    isotype."""
     series = quasi.qi_dimension_series(1, 9)
     if series != GOLDEN_DIMS_M1:
         return False, f"series produced {series}"
     computed = [len(quasi.graded_qi_basis(1, d)) for d in range(10)]
     if computed != series:
         return False, f"graded solves produced {computed}"
-    return True, f"dimensions {computed}"
+    for m in (2, 3, 4):
+        top = 6 * m + 5
+        counted = [quasi.qi_dimension(m, d) for d in range(top + 1)]
+        if counted != quasi.qi_dimension_series(m, top):
+            return False, f"isotype counts for m={m} produced {counted}"
+    return True, f"dimensions {computed}; isotype counts agree for m=2..4"
 
 
 @_criterion("independence certificates", 120.0)

@@ -16,12 +16,15 @@ The module also provides the degree-d slice of the m-quasiinvariant ring
 by the elementary symmetric polynomials (independent_modulo_ideal), the
 same two for the antisymmetric component only
 (antisymmetric_qi_basis, antisymmetric_independent_modulo_ideal), the
-coinvariant normal form used for the m = 0 independence certificate, and
-the dimension series the graded slices must reproduce.
+coinvariant normal form used for the m = 0 independence certificate,
+the dimension of a slice counted by isotype (qi_dimension), and the
+dimension series the slices must reproduce.
 
 The antisymmetric route decides an antisymmetric input such as
-Delta^(2m+1) on far smaller systems than the full slices; the full
-route stays the independent check on it.
+Delta^(2m+1) on far smaller systems than the full slices, and
+qi_dimension counts a slice from its s23-fixed and antisymmetric parts
+alone, by integer rank; the full slices stay the independent check on
+both.
 """
 
 from __future__ import annotations
@@ -60,6 +63,16 @@ def _swapped(exp, i: int, j: int):
     out = list(exp)
     out[i - 1], out[j - 1] = exp[j - 1], exp[i - 1]
     return tuple(out)
+
+
+def _difference(terms, i: int, j: int):
+    """(1 - s_ij) P on integer terms, with the cancelled terms dropped."""
+    diff = {}
+    for exp, num in terms:
+        swapped = _swapped(exp, i, j)
+        diff[exp] = diff.get(exp, 0) + num
+        diff[swapped] = diff.get(swapped, 0) - num
+    return [(exp, num) for exp, num in diff.items() if num]
 
 
 def _shift_coefficient(terms, i: int, j: int, r: int):
@@ -133,13 +146,7 @@ def is_quasiinvariant(P: Polynomial, m: int) -> QuasiReport:
     _, terms = _integer_terms(P)
     checks = []
     for i, j in TRANSPOSITIONS:
-        # (1 - s_ij) P on the numerators
-        diff = {}
-        for exp, num in terms:
-            swapped = _swapped(exp, i, j)
-            diff[exp] = diff.get(exp, 0) + num
-            diff[swapped] = diff.get(swapped, 0) - num
-        diff = [(exp, num) for exp, num in diff.items() if num]
+        diff = _difference(terms, i, j)
         # s_ij negates the difference, so its lowest nonzero order is odd
         top = max((exp[i - 1] for exp, _ in diff), default=0)
         power = _first_nonzero_order(diff, i, j, range(1, top + 1, 2))
@@ -203,26 +210,28 @@ def monomials_of_degree(d: int):
     ]
 
 
-def _taylor_kernel(columns, orders):
-    """Null space of the Taylor conditions on unknown coefficients.
+def _taylor_rows(columns, orders):
+    """(rows, ncols): the Taylor conditions on ncols unknown coefficients,
+    as integer rows.
 
     columns maps a pair (i, j) to one integer-term list per unknown.  The
     rows say that the coefficients of t^r, r in orders, vanish, with
     x_i = x_j + t, in the combination of those term lists; there is one
     row per (pair, r, monomial), built on integers.  r stops at the
-    largest x_i power, past which no t^r coefficient survives.
+    largest x_i power, past which no t^r coefficient survives; an empty
+    term list (an unknown the pair's operator kills) adds to no row.
 
     The callers pass one parity of orders only.  When every combination
     is negated by s_ij its lowest nonzero order is odd, and when every one
     is fixed by s_ij it is even, so the orders of the other parity add no
-    condition and the null space is the one of all orders (the same
-    parity fact keeps only odd l in linsys.system_rows).
+    condition and the solutions are those of all orders (the same parity
+    fact keeps only odd l in linsys.system_rows).
     """
     ncols = len(next(iter(columns.values())))
     row_map = {}
     for (i, j), unknowns in columns.items():
         for pos, terms in enumerate(unknowns):
-            top = max(exp[i - 1] for exp, _ in terms)
+            top = max((exp[i - 1] for exp, _ in terms), default=-1)
             for r in orders:
                 if r > top:
                     break
@@ -230,8 +239,18 @@ def _taylor_kernel(columns, orders):
                     if num:
                         key = ((i, j), r, exp)
                         row_map.setdefault(key, [0] * ncols)[pos] += num
-    matrix = [row_map[key] for key in sorted(row_map)]
-    return nullspace_vectors(matrix, ncols)
+    return [row_map[key] for key in sorted(row_map)], ncols
+
+
+def _taylor_kernel(columns, orders):
+    """Null space of the Taylor conditions of _taylor_rows."""
+    return nullspace_vectors(*_taylor_rows(columns, orders))
+
+
+def _solution_count(columns, orders) -> int:
+    """Dimension of that null space: unknowns minus the integer rank."""
+    rows, ncols = _taylor_rows(columns, orders)
+    return ncols - rank(rows)
 
 
 def _independent_of(generators, polys, monos) -> bool:
@@ -261,11 +280,10 @@ def graded_qi_basis(m: int, d: int):
     if m < 0 or d < 0:
         raise ValueError("m and d must be nonnegative")
     monos = monomials_of_degree(d)
-    columns = {}
-    for i, j in TRANSPOSITIONS:
-        columns[(i, j)] = []
-        for mono in monos:
-            columns[(i, j)].append([(mono, 1), (_swapped(mono, i, j), -1)])
+    columns = {
+        (i, j): [_difference([(mono, 1)], i, j) for mono in monos]
+        for i, j in TRANSPOSITIONS
+    }
     return [
         Polynomial({monos[pos]: c for pos, c in enumerate(v) if c})
         for v in _taylor_kernel(columns, range(1, 2 * m + 1, 2))
@@ -309,6 +327,13 @@ def _partitions3(n: int):
     ]
 
 
+def _antisymmetric_columns(d: int):
+    """The supports of the m_lambda, lambda a partition of d - 3 into at
+    most three parts, and their term lists as unknowns of the s12 rows."""
+    supports = [set(permutations(lam)) for lam in _partitions3(d - 3)]
+    return supports, {(1, 2): [[(exp, 1) for exp in support] for support in supports]}
+
+
 def antisymmetric_qi_basis(m: int, d: int):
     """Basis of the antisymmetric m-quasiinvariants of degree d.
 
@@ -330,8 +355,7 @@ def antisymmetric_qi_basis(m: int, d: int):
         raise ValueError("m must be nonnegative")
     if d < 3:
         return []
-    supports = [set(permutations(lam)) for lam in _partitions3(d - 3)]
-    columns = {(1, 2): [[(exp, 1) for exp in support] for support in supports]}
+    supports, columns = _antisymmetric_columns(d)
     delta = vandermonde()
     return [
         delta
@@ -369,6 +393,50 @@ def antisymmetric_independent_modulo_ideal(P: Polynomial, m: int) -> bool:
 
 
 # --- dimension series -------------------------------------------------------
+
+
+def _s23_fixed_count(m: int, d: int) -> int:
+    """dim QI_m(d)^s23, solved on the degree-d orbit sums
+    x1^a (x2^b x3^c + x2^c x3^b), b >= c (x1^a x2^b x3^b once when b = c).
+
+    For s23-fixed P, (1 - s23) P = 0 and (1 - s13) P = s23 (1 - s12) P,
+    so the pair (1, 2) gives every condition.  s12 negates (1 - s12) P,
+    so only the odd orders below 2m + 1 are built.  The term list of
+    x1^a x2^a x3^a, which s12 fixes, is empty.
+    """
+    unknowns = [
+        _difference([(exp, 1) for exp in {(a, b, c), (a, c, b)}], 1, 2)
+        for a, b, c in monomials_of_degree(d)
+        if b >= c
+    ]
+    return _solution_count({(1, 2): unknowns}, range(1, 2 * m + 1, 2))
+
+
+def qi_dimension(m: int, d: int) -> int:
+    """dim QI_m(d), counted by isotype from two small slices.
+
+    QI_m(d) is S3-stable.  As an S3-module it is a copies of the trivial
+    representation, b of the sign and c of the two-dimensional one, so
+    its dimension is a + b + 2c, while its s23-fixed part has dimension
+    a + c.  Hence
+
+        dim QI_m(d) = 2 dim QI_m(d)^s23 - a + b,
+
+    the standard isotypic decomposition (Serre, Linear Representations
+    of Finite Groups, 2.6).  Every symmetric polynomial is
+    quasiinvariant, so a = dim Sym(d), the number of partitions of d into
+    at most three parts, and b is the number of antisymmetric
+    quasiinvariants of degree d: the symmetric f of antisymmetric_qi_basis,
+    solved with the even orders below 2m.  Each slice is counted as its
+    unknowns minus the integer rank of its rows (_s23_fixed_count for the
+    s23-fixed one); no null vector is formed.  graded_qi_basis is the
+    independent check.
+    """
+    if m < 0 or d < 0:
+        raise ValueError("m and d must be nonnegative")
+    # below degree 3 there is no partition of d - 3, so no unknown
+    alternating = _solution_count(_antisymmetric_columns(d)[1], range(0, 2 * m, 2))
+    return 2 * _s23_fixed_count(m, d) - len(_partitions3(d)) + alternating
 
 
 def quotient_degrees(m: int):

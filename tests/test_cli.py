@@ -284,6 +284,37 @@ def test_parser_is_built_once(capsys):
     assert unreachable < 50
 
 
+def test_json_output_leaves_no_cyclic_garbage(capsys):
+    # json's indented encoder is a cycle of closures, freed before print
+    argv = ["basis", "--m", "1", "--format", "json"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert unreachable == 0
+
+
+def test_json_cycle_stays_young_while_collections_run(capsys):
+    # collections during encoding would promote a live cycle past the
+    # young generation that _print_json collects
+    argv = ["basis", "--m", "1", "--format", "json"]
+    assert main(argv) == 0
+    threshold = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(10, 1000, 1000)
+    try:
+        assert main(argv) == 0
+    finally:
+        gc.set_threshold(*threshold)
+    capsys.readouterr()
+    assert gc.collect() == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -27,9 +27,10 @@ from quasi3.quasi import (
     is_quasiinvariant,
     largest_dividing_power,
     monomials_of_degree,
+    qi_dimension,
     quotient_degrees,
 )
-from quasi3.quasi import _check_pair, _integer_terms, _shift_coefficient
+from quasi3.quasi import _check_pair, _integer_terms, _s23_fixed_count, _shift_coefficient
 
 pairs = st.sampled_from(((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)))
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
@@ -269,3 +270,19 @@ def test_antisymmetric_independence_matches_full_route():
 
     check()
     assert verdicts == {False, True}
+
+
+def test_isotype_count_matches_full_slices():
+    for m in range(4):
+        for d in range(6 * m + 6):
+            assert qi_dimension(m, d) == len(slice_basis(m, d)), (m, d)
+
+
+def test_s23_fixed_count_matches_symmetrised_full_slices():
+    """The s23-fixed part of a slice is spanned by (P + s23 P) / 2 over
+    the full slice's basis."""
+    s23 = TRANSPOSITIONS[(2, 3)]
+    for m in range(3):
+        for d in range(6 * m + 6):
+            fixed = [(P + P.apply_perm(s23)) * Fraction(1, 2) for P in slice_basis(m, d)]
+            assert _s23_fixed_count(m, d) == rank(coefficient_rows(fixed, d)), (m, d)
