@@ -30,7 +30,8 @@ def binom(n: int, k: int) -> int:
 
 def integer_scaled(values):
     """(den, ints): ints and Fractions as numerators over their lcm denominator."""
-    den = lcm(*(x.denominator for x in values))
+    # a list: unpacking a generator resizes a tuple, filling CPython's free lists
+    den = lcm(*[x.denominator for x in values])
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 

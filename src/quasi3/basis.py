@@ -10,11 +10,14 @@ raw null vectors, and the verification verdicts that were requested:
 * "quasi": plus quasiinvariance of every element and s23-invariance of
   A1 and A2.
 * "full": plus linear independence modulo the ideal part (only for
-  m <= IDEAL_BUDGET, since the graded solves grow quickly), and for
-  m = 0 the coinvariant determinant certificate.  The two pairs are
-  checked in the full graded slices; Delta^(2m+1) is antisymmetric, so
-  it is checked in the antisymmetric component of the ideal part, whose
-  slices are far smaller (quasi.antisymmetric_independent_modulo_ideal).
+  m <= IDEAL_BUDGET), and for m = 0 the coinvariant determinant
+  certificate.  All three verdicts come from
+  quasi.free_module_certificate: the six elements span a free module
+  over the symmetric polynomials, which fills QI_m below degree 3m+2,
+  and no antisymmetric quasiinvariant lies in the three degrees below
+  6m+3.  It solves no ideal part; the exact routes
+  (quasi.independent_modulo_ideal and its antisymmetric form) stay as
+  the cross-check in selftest criterion 6.
 """
 
 from __future__ import annotations
@@ -25,21 +28,21 @@ from fractions import Fraction
 from .linsys import build_system, det_exact, nullspace
 from .poly import Polynomial, S12, S23, elementary, mono_sym, vandermonde_power
 from .quasi import (
-    antisymmetric_independent_modulo_ideal,
     coinvariant_nf,
-    independent_modulo_ideal,
+    free_module_certificate,
     is_quasiinvariant,
     quotient_degrees,
 )
 
 ELEMENT_NAMES = ("1", "A1", "s12(A1)", "A2", "s12(A2)", "Delta^(2m+1)")
 
-# Largest m whose independence modulo the ideal part is checked: the
-# full graded solves behind the two pair checks grow quickly with m (the
-# Delta^(2m+1) check runs in the antisymmetric component and stays
-# cheap).  Above it the verdicts read None (skipped); raising it changes
-# the CLI verdicts.
-IDEAL_BUDGET = 2
+# Largest m whose independence modulo the ideal part is certified: the
+# exact ranks behind the certificate grow quickly with m, mostly the
+# antisymmetric slices of degree 6m..6m+2.  On a 2-vCPU host with
+# Python 3.11.7, `basis --m 8 --verify full` took 4.8-5.1 s and m = 9
+# took 9.9-10.8 s.  Above it the verdicts read None (skipped); changing
+# it changes the CLI verdicts.
+IDEAL_BUDGET = 8
 
 
 class DegenerateSystemError(RuntimeError):
@@ -146,8 +149,9 @@ VERIFY_LEVELS = ("degrees", "quasi", "full")
 def build_basis(m: int, verify: str = "full") -> BasisReport:
     """Construct the six elements and verify them at the requested level.
 
-    Independence checks run only for m <= IDEAL_BUDGET; above that they
-    are recorded as None (skipped), never silently passed.
+    Independence is certified only for m <= IDEAL_BUDGET; above that the
+    verdicts are recorded as None (skipped), never silently passed, and a
+    certificate step that does not close reads None too, never False.
     """
     if verify not in VERIFY_LEVELS:
         raise ValueError(f"verify must be one of {VERIFY_LEVELS}")
@@ -194,15 +198,9 @@ def build_basis(m: int, verify: str = "full") -> BasisReport:
     }
     coinv_det = None
     if verify == "full" and m <= IDEAL_BUDGET:
-        independence["pair_degree_3m+1"] = independent_modulo_ideal(
-            [polys[1], polys[2]], m
-        )
-        independence["pair_degree_3m+2"] = independent_modulo_ideal(
-            [polys[3], polys[4]], m
-        )
-        independence["delta_power"] = antisymmetric_independent_modulo_ideal(
-            delta_power, m
-        )
+        pairs, delta = free_module_certificate(polys, m)
+        independence["pair_degree_3m+1"] = independence["pair_degree_3m+2"] = pairs
+        independence["delta_power"] = delta
         if m == 0:
             rows = [coinvariant_nf(P) for P in polys]
             coinv_det = det_exact(rows)

@@ -137,8 +137,10 @@ def cmd_basis(args) -> int:
             print(f"s23 invariance ok: {report.s23_ok}")
         if report.verify == "full":
             for name, verdict in report.independence.items():
-                shown = "skipped (budget)" if verdict is None else verdict
-                print(f"independence {name}: {shown}")
+                if verdict is None:
+                    over = report.m > basis.IDEAL_BUDGET
+                    verdict = "skipped (budget)" if over else "not certified"
+                print(f"independence {name}: {verdict}")
     return OK if report.passed else MATH_FAIL
 
 
@@ -416,15 +418,27 @@ def cmd_selftest(args) -> int:
         if bad:
             raise ValueError(f"--only takes criteria 1..{count}, got {', '.join(bad)}")
     results = acceptance.run_all(indices)
-    failed = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        timing = f"{r.seconds:.2f}s"
-        over = "" if r.within_limit else f" (over {r.limit:.0f}s limit)"
-        print(f"[{status}] criterion {r.index}: {r.title} [{timing}{over}] {r.detail}")
-        if not (r.passed and r.within_limit):
-            failed += 1
-    print(f"{len(results) - failed}/{len(results)} criteria passed")
+    failed = sum(not (r.passed and r.within_limit) for r in results)
+    if args.format == "json":
+        _print_json([
+            {
+                "index": r.index,
+                "title": r.title,
+                "passed": r.passed,
+                "seconds": r.seconds,
+                "limit": r.limit,
+                "within_limit": r.within_limit,
+                "detail": r.detail,
+            }
+            for r in results
+        ])
+    else:
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            timing = f"{r.seconds:.2f}s"
+            over = "" if r.within_limit else f" (over {r.limit:.0f}s limit)"
+            print(f"[{status}] criterion {r.index}: {r.title} [{timing}{over}] {r.detail}")
+        print(f"{len(results) - failed}/{len(results)} criteria passed")
     return OK if failed == 0 else MATH_FAIL
 
 
@@ -503,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_identities)
 
-    p = sub.add_parser("selftest", help="run the acceptance criteria")
+    p = sub.add_parser("selftest", parents=[fmt], help="run the acceptance criteria")
     p.add_argument("--only", default=None, metavar="N[,N...]")
     p.set_defaults(func=cmd_selftest)
 

@@ -17,14 +17,16 @@ by the elementary symmetric polynomials (independent_modulo_ideal), the
 same two for the antisymmetric component only
 (antisymmetric_qi_basis, antisymmetric_independent_modulo_ideal), the
 coinvariant normal form used for the m = 0 independence certificate,
-the dimension of a slice counted by isotype (qi_dimension), and the
-dimension series the slices must reproduce.
+the dimension of a slice counted by isotype (qi_dimension), the
+dimension series the slices must reproduce, and the free-module
+certificate that decides independence of the six quotient elements
+from those counts (free_module_certificate).
 
 The antisymmetric route decides an antisymmetric input such as
 Delta^(2m+1) on far smaller systems than the full slices, and
 qi_dimension counts a slice from its s23-fixed and antisymmetric parts
 alone, by integer rank; the full slices stay the independent check on
-both.
+both, and independent_modulo_ideal on the certificate.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from itertools import permutations
 from math import comb
 
 from .arith import integer_scaled
-from .linsys import nullspace_vectors, rank
+from .linsys import det_exact, nullspace_vectors, rank
 from .poly import (
+    ALL_PERMS,
     S12,
     S23,
     TRANSPOSITIONS,
@@ -434,9 +437,14 @@ def qi_dimension(m: int, d: int) -> int:
     """
     if m < 0 or d < 0:
         raise ValueError("m and d must be nonnegative")
-    # below degree 3 there is no partition of d - 3, so no unknown
-    alternating = _solution_count(_antisymmetric_columns(d)[1], range(0, 2 * m, 2))
-    return 2 * _s23_fixed_count(m, d) - len(_partitions3(d)) + alternating
+    return 2 * _s23_fixed_count(m, d) - len(_partitions3(d)) + _alternating_count(m, d)
+
+
+def _alternating_count(m: int, d: int) -> int:
+    """dim Alt QI_m(d): the symmetric f of antisymmetric_qi_basis, counted
+    by integer rank.  Below degree 3 there is no partition of d - 3, so no
+    unknown."""
+    return _solution_count(_antisymmetric_columns(d)[1], range(0, 2 * m, 2))
 
 
 def quotient_degrees(m: int):
@@ -461,3 +469,82 @@ def qi_dimension_series(m: int, max_degree: int):
         for d in range(step, n):
             series[d] += series[d - step]
     return series
+
+
+# --- independence modulo the ideal by freeness ------------------------------
+
+# Distinct coordinates: the determinant is antisymmetric, so it vanishes
+# wherever two coordinates meet.
+CERTIFICATE_POINT = (0, 1, 3)
+
+
+def _values_at(P: Polynomial, points):
+    """P times its common denominator, at each integer point."""
+    _, terms = _integer_terms(P)
+    return [
+        sum(num * x**a * y**b * z**c for (a, b, c), num in terms)
+        for x, y, z in points
+    ]
+
+
+def free_module_certificate(elements, m: int):
+    """(pairs, delta): independence modulo the ideal part of the six
+    quotient elements b_1..b_6, certified without solving the ideal part.
+
+    pairs covers the two pairs of degree 3m+1 and 3m+2, delta covers
+    Delta^(2m+1).  Each reads True when its certificate closes and None
+    when a step does not; a step that does not close proves nothing, so
+    neither ever reads False.
+
+    Let N = sum_k Sym b_k.  pairs needs every b_k quasiinvariant, so that
+    N lies in QI_m, and homogeneous of its degree in quotient_degrees(m),
+    and then:
+
+    (a) det[sigma(b_k)], sigma in S3, is nonzero at CERTIFICATE_POINT,
+        so it is a nonzero polynomial.  A relation sum_k f_k b_k = 0 with
+        f_k symmetric gives sum_k f_k sigma(b_k) = 0 for every sigma, so
+        (f_k) lies in the kernel of that matrix and is zero.  Hence N is
+        free over Sym with Hilbert series qi_dimension_series(m, .).
+    (b) dim QI_m(e) <= [q^e] of that series for every e <= 3m+1.  N lies
+        in QI_m, so QI_m(e) = N_e there, and the ideal part of each pair's
+        degree d, sum_k e_k QI_m(d - k), is (Sym_+ N)_d.  N is free, so no
+        nonzero combination of the degree-d b_k lies in it.
+
+    delta needs b_6 nonzero, antisymmetric and homogeneous of degree
+    d = 6m+3, and then:
+
+    (c) Alt QI_m(e) = 0 for e = d-3, d-2, d-1.  The ideal part contains
+        the antisymmetric b_6 only if its antisymmetric component,
+        sum_k e_k Alt QI_m(d - k), does
+        (antisymmetric_independent_modulo_ideal), and that is zero.
+
+    Every rank is exact (linsys.rank).  That QI_m is free over Sym
+    (Feigin-Veselov, IMRN 2002; Berest-Etingof-Ginzburg, Duke 2003) is
+    never assumed; independent_modulo_ideal and
+    antisymmetric_independent_modulo_ideal are the independent check.
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if len(elements) != 6:
+        raise ValueError("need the six quotient elements")
+    degrees = quotient_degrees(m)
+    placed = [
+        P.is_homogeneous() and P.degree() == d for P, d in zip(elements, degrees)
+    ]
+    points = [tuple(CERTIFICATE_POINT[s - 1] for s in sigma) for sigma in ALL_PERMS]
+    top = 3 * m + 1
+    series = qi_dimension_series(m, top)
+    pairs = (
+        all(placed)
+        and all(is_quasiinvariant(P, m).is_quasiinvariant for P in elements)
+        and det_exact([_values_at(P, points) for P in elements]) != 0
+        and all(qi_dimension(m, e) <= series[e] for e in range(top + 1))
+    )
+    delta_power = elements[-1]
+    delta = (
+        placed[-1]
+        and delta_power.apply_perm(S12) == -delta_power
+        and delta_power.apply_perm(S23) == -delta_power
+        and not any(_alternating_count(m, e) for e in range(6 * m, 6 * m + 3))
+    )
+    return (True if pairs else None, True if delta else None)

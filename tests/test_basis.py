@@ -5,6 +5,7 @@ import pytest
 from quasi3.acceptance import GOLDEN_A1_M2, GOLDEN_A2_M2
 from quasi3.basis import (
     ELEMENT_NAMES,
+    IDEAL_BUDGET,
     BasisReport,
     ansatz_coefficients,
     assemble_ansatz,
@@ -151,9 +152,19 @@ def test_build_basis_degrees_level_skips_quasi():
 
 
 def test_build_basis_skips_independence_beyond_budget():
-    report = build_basis(3, verify="full")
-    assert report.independence["pair_degree_3m+1"] is None
+    report = build_basis(IDEAL_BUDGET + 1, verify="full")
+    assert set(report.independence.values()) == {None}
     assert report.passed  # skipped checks do not fail the report
+
+
+def test_build_basis_m3_full_certifies_independence():
+    report = build_basis(3, verify="full")
+    assert report.passed
+    assert report.independence == {
+        "pair_degree_3m+1": True,
+        "pair_degree_3m+2": True,
+        "delta_power": True,
+    }
 
 
 def test_build_basis_rejects_bad_input():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import quasi3
+from quasi3 import acceptance
 from quasi3.cli import build_parser, main
 from quasi3.linsys import extract_blocks
 from quasi3.poly import Polynomial, parse_poly
@@ -434,7 +435,7 @@ def test_argparse_rejects_bad_options(capsys, argv):
         ),
         pytest.param(
             "basis --m 3 --verify full", 0,
-            "8fb927699a9f1cdc4572c2233f060def5c13151b6d0047c07044c6af062307e6",
+            "3c07f6d3b60b51a24428f94684d3658c5e6df51fd83d209102856d6b66228fc8",
             id="basis-m3-full-text",
         ),
         pytest.param(
@@ -542,6 +543,34 @@ def test_selftest_subset(capsys):
     assert len(lines) == 2
     assert all(l.startswith("[PASS] criterion") for l in lines)
     assert "2/2 criteria passed" in out
+
+
+def test_selftest_json(capsys):
+    code, out, _ = run_cli(capsys, "selftest", "--only", "6", "--format", "json")
+    assert code == 0
+    (obj,) = json.loads(out)
+    assert list(obj) == [
+        "index", "title", "passed", "seconds", "limit", "within_limit", "detail",
+    ]
+    assert obj["index"] == 6
+    assert obj["title"] == "independence certificates"
+    assert obj["passed"] is obj["within_limit"] is True
+    assert 0 <= obj["seconds"] < obj["limit"] == 120.0
+    assert "exact routes agree at m=1,2" in obj["detail"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_selftest_failure_exits_one(capsys, monkeypatch, fmt):
+    failed = acceptance.CriterionResult(
+        index=1, title="t", passed=False, detail="d", seconds=0.0, limit=1.0
+    )
+    monkeypatch.setattr(acceptance, "run_all", lambda indices: [failed])
+    code, out, _ = run_cli(capsys, "selftest", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out)[0]["passed"] is False
+    else:
+        assert out.splitlines() == ["[FAIL] criterion 1: t [0.00s] d", "0/1 criteria passed"]
 
 
 @pytest.mark.parametrize(

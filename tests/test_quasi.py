@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from quasi3 import quasi
+from quasi3.basis import build_basis
 from quasi3.group_ops import make_element
-from quasi3.linsys import nullspace_vectors, rank
+from quasi3.linsys import det_exact, nullspace_vectors, rank
 from quasi3.poly import (
     TRANSPOSITIONS,
     Polynomial,
@@ -19,11 +21,13 @@ from quasi3.quasi import (
     antisymmetric_independent_modulo_ideal,
     antisymmetric_qi_basis,
     coinvariant_nf,
+    free_module_certificate,
     graded_qi_basis,
     independent_modulo_ideal,
     is_quasiinvariant,
     largest_dividing_power,
     monomials_of_degree,
+    qi_dimension,
     qi_dimension_series,
     quotient_degrees,
 )
@@ -333,3 +337,71 @@ def test_antisymmetric_qi_basis_small_degrees_and_bad_m():
 def test_is_quasiinvariant_rejects_negative_m():
     with pytest.raises(ValueError):
         is_quasiinvariant(x1, -1)
+
+
+def quotient_elements(m):
+    return [e.poly for e in build_basis(m, verify="degrees").elements]
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_free_module_certificate_closes(m):
+    assert free_module_certificate(quotient_elements(m), m) == (True, True)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_free_module_certificate_agrees_with_exact_routes(m):
+    b = quotient_elements(m)
+    exact = (
+        independent_modulo_ideal(b[1:3], m) and independent_modulo_ideal(b[3:5], m),
+        antisymmetric_independent_modulo_ideal(b[5], m),
+    )
+    assert exact == free_module_certificate(b, m) == (True, True)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_free_module_certificate_open_on_a_repeated_element(m, monkeypatch):
+    # s12(A1) replaced by A1: the rows of the S3 matrix repeat
+    b = quotient_elements(m)
+    b[2] = b[1]
+    dets = []
+
+    def recorded(matrix):
+        dets.append(det_exact(matrix))
+        return dets[-1]
+
+    monkeypatch.setattr(quasi, "det_exact", recorded)
+    assert free_module_certificate(b, m) == (None, True)
+    assert dets == [0]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_free_module_certificate_open_off_the_quasiinvariants(m):
+    b = quotient_elements(m)
+    b[1] = b[1] + x1 ** (3 * m + 1)
+    assert not is_quasiinvariant(b[1], m).is_quasiinvariant
+    assert free_module_certificate(b, m) == (None, True)
+    # Delta^(2m+1) made not antisymmetric, and so not quasiinvariant either
+    b = quotient_elements(m)
+    b[5] = b[5] + x1 ** (6 * m + 3)
+    assert free_module_certificate(b, m) == (None, None)
+
+
+def test_free_module_certificate_open_on_a_smaller_series(monkeypatch):
+    # the m = 3 series is below dim QI_2 from degree 7 = 3m + 1 on
+    series, counted = quasi.qi_dimension_series, []
+
+    def recorded(m, d):
+        counted.append(d)
+        return qi_dimension(m, d)
+
+    monkeypatch.setattr(quasi, "qi_dimension_series", lambda m, top: series(m + 1, top))
+    monkeypatch.setattr(quasi, "qi_dimension", recorded)
+    assert free_module_certificate(quotient_elements(2), 2) == (None, True)
+    assert counted == list(range(8))
+    assert qi_dimension(2, 7) > series(3, 7)[7]
+
+
+@pytest.mark.parametrize("count, m", [(5, 1), (6, -1)])
+def test_free_module_certificate_rejects_bad_input(count, m):
+    with pytest.raises(ValueError):
+        free_module_certificate(quotient_elements(1)[:count], m)
