@@ -15,9 +15,9 @@ raw null vectors, and the verification verdicts that were requested:
   quasi.free_module_certificate: the six elements span a free module
   over the symmetric polynomials, which fills QI_m below degree 3m+2,
   and no antisymmetric quasiinvariant lies in the three degrees below
-  6m+3.  It solves no ideal part; the exact routes
-  (quasi.independent_modulo_ideal and its antisymmetric form) stay as
-  the cross-check in selftest criterion 6.
+  6m+3.  It solves no ideal part; quasi.independent_modulo_ideal, which
+  solves the ideal part on the full graded slices, stays as the
+  cross-check in selftest criterion 6 for all three.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linsys import build_system, det_exact, nullspace
-from .poly import Polynomial, S12, S23, elementary, mono_sym, vandermonde_power
+from .poly import Polynomial, S12, S23, elementary, vandermonde_power
 from .quasi import (
     coinvariant_nf,
     free_module_certificate,
@@ -72,14 +72,12 @@ def ansatz_coefficients(m: int, d: int):
 
 
 def assemble_ansatz(d: int, labels, vec) -> Polynomial:
-    """Sum of C_[i,j] x1^(d-i-j) m_[i,j](x2, x3)."""
-    out = Polynomial.zero()
+    """Sum of C_[i,j] x1^(d-i-j) m_[i,j](x2, x3), m_[i,j] = x2^i x3^j +
+    x2^j x3^i (one term when i == j)."""
+    terms = {}
     for (i, j), coeff in zip(labels, vec):
-        if not coeff:
-            continue
-        power = Polynomial.monomial((d - i - j, 0, 0), coeff)
-        out = out + power * mono_sym(i, j)
-    return out
+        terms[(d - i - j, i, j)] = terms[(d - i - j, j, i)] = coeff
+    return Polynomial(terms)
 
 
 def is_scalar_multiple(P: Polynomial, Q: Polynomial) -> bool:

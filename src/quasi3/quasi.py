@@ -14,19 +14,15 @@ constraint rows (k, l) of linsys.system_rows keep only odd l.
 The module also provides the degree-d slice of the m-quasiinvariant ring
 (graded_qi_basis), independence modulo the part of the slice generated
 by the elementary symmetric polynomials (independent_modulo_ideal), the
-same two for the antisymmetric component only
-(antisymmetric_qi_basis, antisymmetric_independent_modulo_ideal), the
 coinvariant normal form used for the m = 0 independence certificate,
 the dimension of a slice counted by isotype (qi_dimension), the
 dimension series the slices must reproduce, and the free-module
 certificate that decides independence of the six quotient elements
 from those counts (free_module_certificate).
 
-The antisymmetric route decides an antisymmetric input such as
-Delta^(2m+1) on far smaller systems than the full slices, and
 qi_dimension counts a slice from its s23-fixed and antisymmetric parts
 alone, by integer rank; the full slices stay the independent check on
-both, and independent_modulo_ideal on the certificate.
+it, and independent_modulo_ideal on the certificate.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from .poly import (
     TRANSPOSITIONS,
     Polynomial,
     elementary,
-    vandermonde,
 )
 
 
@@ -114,9 +109,9 @@ def largest_dividing_power(P: Polynomial, i: int, j: int):
     That is the lowest r with a nonzero Taylor coefficient c_r, searched
     over every order.
     """
+    _check_pair(i, j)
     if P.is_zero():
         return None
-    _check_pair(i, j)
     _, terms = _integer_terms(P)
     # c_r for r = deg_{x_i} P is the leading x_i coefficient, never zero
     return _first_nonzero_order(terms, i, j, range(P.var_degree(i) + 1))
@@ -245,27 +240,10 @@ def _taylor_rows(columns, orders):
     return [row_map[key] for key in sorted(row_map)], ncols
 
 
-def _taylor_kernel(columns, orders):
-    """Null space of the Taylor conditions of _taylor_rows."""
-    return nullspace_vectors(*_taylor_rows(columns, orders))
-
-
 def _solution_count(columns, orders) -> int:
     """Dimension of that null space: unknowns minus the integer rank."""
     rows, ncols = _taylor_rows(columns, orders)
     return ncols - rank(rows)
-
-
-def _independent_of(generators, polys, monos) -> bool:
-    """Adding polys to the generators raises the rank of their
-    coordinates on monos by len(polys)."""
-
-    def coordinates(Q):
-        return [Q.coefficient(mono) for mono in monos]
-
-    vectors = [coordinates(Q) for Q in generators]
-    new = [coordinates(P) for P in polys]
-    return rank(vectors + new) == rank(vectors) + len(new)
 
 
 def graded_qi_basis(m: int, d: int):
@@ -278,7 +256,7 @@ def graded_qi_basis(m: int, d: int):
     order is 1.  For a monomial P, (1 - s_ij) P is P minus P with the
     exponents of x_i and x_j swapped, so every row entry is an integer.
     s_ij negates (1 - s_ij) P, so only the odd orders r < 2m + 1 are
-    built (see _taylor_kernel).
+    built (see _taylor_rows).
     """
     if m < 0 or d < 0:
         raise ValueError("m and d must be nonnegative")
@@ -289,7 +267,7 @@ def graded_qi_basis(m: int, d: int):
     }
     return [
         Polynomial({monos[pos]: c for pos, c in enumerate(v) if c})
-        for v in _taylor_kernel(columns, range(1, 2 * m + 1, 2))
+        for v in nullspace_vectors(*_taylor_rows(columns, range(1, 2 * m + 1, 2)))
     ]
 
 
@@ -307,16 +285,22 @@ def independent_modulo_ideal(polys, m: int) -> bool:
     if len(degrees) != 1:
         raise ValueError("polynomials must share one degree")
     d = degrees.pop()
-    generators = [
-        elementary(k) * Q
+    monos = monomials_of_degree(d)
+
+    def coordinates(Q):
+        return [Q.coefficient(mono) for mono in monos]
+
+    vectors = [
+        coordinates(elementary(k) * Q)
         for k in (1, 2, 3)
         if k <= d
         for Q in graded_qi_basis(m, d - k)
     ]
-    return _independent_of(generators, polys, monomials_of_degree(d))
+    new = [coordinates(P) for P in polys]
+    return rank(vectors + new) == rank(vectors) + len(new)
 
 
-# --- the antisymmetric component --------------------------------------------
+# --- dimension series -------------------------------------------------------
 
 
 def _partitions3(n: int):
@@ -328,74 +312,6 @@ def _partitions3(n: int):
         for b in range(min(a, n - a), -1, -1)
         if n - a - b <= b
     ]
-
-
-def _antisymmetric_columns(d: int):
-    """The supports of the m_lambda, lambda a partition of d - 3 into at
-    most three parts, and their term lists as unknowns of the s12 rows."""
-    supports = [set(permutations(lam)) for lam in _partitions3(d - 3)]
-    return supports, {(1, 2): [[(exp, 1) for exp in support] for support in supports]}
-
-
-def antisymmetric_qi_basis(m: int, d: int):
-    """Basis of the antisymmetric m-quasiinvariants of degree d.
-
-    An antisymmetric polynomial vanishes on every x_i = x_j, so it is
-    Delta f with f symmetric.  (1 - s12)(Delta f) = 2 Delta f, and the
-    factors (x1 - x3)(x2 - x3) of Delta are coprime to x1 - x2, so Delta f
-    passes the s12 test exactly when (x1 - x2)^(2m) divides f; since f is
-    symmetric, that one pair gives every pair.  The basis is Delta f for a
-    basis of those f of degree d - 3, solved from this condition alone
-    (that they are Delta^(2m+1) Sym, Feigin-Veselov, is never assumed).
-
-    f is written in the monomial symmetric functions m_lambda, lambda a
-    partition of d - 3 with at most three parts; the rows are the
-    coefficients of t^0 .. t^(2m-1) of f with x1 = x2 + t, built on
-    integers.  f is symmetric, so only the even orders are built (see
-    _taylor_kernel).  Empty for d < 3.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if d < 3:
-        return []
-    supports, columns = _antisymmetric_columns(d)
-    delta = vandermonde()
-    return [
-        delta
-        * Polynomial({exp: c for support, c in zip(supports, v) for exp in support})
-        for v in _taylor_kernel(columns, range(0, 2 * m, 2))
-    ]
-
-
-def antisymmetric_independent_modulo_ideal(P: Polynomial, m: int) -> bool:
-    """P does not lie in the ideal part, for antisymmetric P.
-
-    The ideal part I_d = e1 QI(d-1) + e2 QI(d-2) + e3 QI(d-3) is
-    S3-stable, and the antisymmetriser Alt = (1/6) sum sgn(sigma) sigma
-    commutes with multiplying by the symmetric e_k.  P equals Alt(P), so
-    P lies in I_d exactly when it lies in Alt(I_d) = sum_k e_k Alt(QI(d-k)).
-    QI is S3-stable and Alt fixes antisymmetric polynomials, so Alt(QI(n))
-    is the antisymmetric part of QI(n): antisymmetric_qi_basis(m, n).
-
-    An antisymmetric polynomial is fixed by its coefficients on
-    x1^a x2^b x3^c with a > b > c, so those are the coordinates.  Adding
-    P to the generators e_k A must raise the rank by one.
-    """
-    if P.is_zero() or not P.is_homogeneous():
-        raise ValueError("need a nonzero homogeneous polynomial")
-    if P.apply_perm(S12) != -P or P.apply_perm(S23) != -P:
-        raise ValueError("need an antisymmetric polynomial")
-    d = P.degree()
-    generators = [
-        elementary(k) * A
-        for k in (1, 2, 3)
-        for A in antisymmetric_qi_basis(m, d - k)
-    ]
-    monos = [exp for exp in monomials_of_degree(d) if exp[0] > exp[1] > exp[2]]
-    return _independent_of(generators, [P], monos)
-
-
-# --- dimension series -------------------------------------------------------
 
 
 def _s23_fixed_count(m: int, d: int) -> int:
@@ -429,10 +345,9 @@ def qi_dimension(m: int, d: int) -> int:
     of Finite Groups, 2.6).  Every symmetric polynomial is
     quasiinvariant, so a = dim Sym(d), the number of partitions of d into
     at most three parts, and b is the number of antisymmetric
-    quasiinvariants of degree d: the symmetric f of antisymmetric_qi_basis,
-    solved with the even orders below 2m.  Each slice is counted as its
-    unknowns minus the integer rank of its rows (_s23_fixed_count for the
-    s23-fixed one); no null vector is formed.  graded_qi_basis is the
+    quasiinvariants of degree d.  Each slice is counted as its unknowns
+    minus the integer rank of its rows (_s23_fixed_count and
+    _alternating_count); no null vector is formed.  graded_qi_basis is the
     independent check.
     """
     if m < 0 or d < 0:
@@ -441,10 +356,26 @@ def qi_dimension(m: int, d: int) -> int:
 
 
 def _alternating_count(m: int, d: int) -> int:
-    """dim Alt QI_m(d): the symmetric f of antisymmetric_qi_basis, counted
-    by integer rank.  Below degree 3 there is no partition of d - 3, so no
-    unknown."""
-    return _solution_count(_antisymmetric_columns(d)[1], range(0, 2 * m, 2))
+    """dim Alt QI_m(d), the antisymmetric m-quasiinvariants of degree d,
+    counted by integer rank.
+
+    An antisymmetric polynomial vanishes on every x_i = x_j, so it is
+    Delta f with f symmetric.  (1 - s12)(Delta f) = 2 Delta f, and the
+    factors (x1 - x3)(x2 - x3) of Delta are coprime to x1 - x2, so Delta f
+    passes the s12 test exactly when (x1 - x2)^(2m) divides f; since f is
+    symmetric, that one pair gives every pair.  That these are
+    Delta^(2m+1) Sym (Feigin-Veselov) is never assumed.
+
+    f is written in the monomial symmetric functions m_lambda, lambda a
+    partition of d - 3 into at most three parts, and the rows are the
+    coefficients of t^0 .. t^(2m-1) of f with x1 = x2 + t.  f is
+    symmetric, so only the even orders are built (see _taylor_rows).
+    Below degree 3 there is no partition of d - 3, so no unknown.
+    """
+    unknowns = [
+        [(exp, 1) for exp in set(permutations(lam))] for lam in _partitions3(d - 3)
+    ]
+    return _solution_count({(1, 2): unknowns}, range(0, 2 * m, 2))
 
 
 def quotient_degrees(m: int):
@@ -513,15 +444,19 @@ def free_module_certificate(elements, m: int):
     delta needs b_6 nonzero, antisymmetric and homogeneous of degree
     d = 6m+3, and then:
 
-    (c) Alt QI_m(e) = 0 for e = d-3, d-2, d-1.  The ideal part contains
-        the antisymmetric b_6 only if its antisymmetric component,
-        sum_k e_k Alt QI_m(d - k), does
-        (antisymmetric_independent_modulo_ideal), and that is zero.
+    (c) Alt QI_m(e) = 0 for e = d-3, d-2, d-1 (_alternating_count).  The
+        ideal part I_d = sum_k e_k QI_m(d - k) is S3-stable, and the
+        antisymmetriser Alt = (1/6) sum sgn(sigma) sigma commutes with
+        multiplication by the symmetric e_k, so Alt(I_d) is
+        sum_k e_k Alt QI_m(d - k), which is zero.  If b_6 lay in I_d, then
+        b_6 = Alt(b_6) would lie in Alt(I_d); it is nonzero, so it does
+        not.
 
     Every rank is exact (linsys.rank).  That QI_m is free over Sym
     (Feigin-Veselov, IMRN 2002; Berest-Etingof-Ginzburg, Duke 2003) is
-    never assumed; independent_modulo_ideal and
-    antisymmetric_independent_modulo_ideal are the independent check.
+    never assumed.  independent_modulo_ideal, which solves the full
+    slices and shares no system with (b) or (c), is the one independent
+    check.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")

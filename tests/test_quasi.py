@@ -13,13 +13,10 @@ from quasi3.poly import (
     elementary,
     parse_poly,
     term_key,
-    vandermonde,
     vandermonde_power,
 )
 from quasi3.quasi import (
     COINVARIANT_BASIS,
-    antisymmetric_independent_modulo_ideal,
-    antisymmetric_qi_basis,
     coinvariant_nf,
     free_module_certificate,
     graded_qi_basis,
@@ -92,6 +89,10 @@ def test_largest_dividing_power():
     assert largest_dividing_power(p, 1, 3) == 4
     assert largest_dividing_power(p, 1, 2) == 0
     assert largest_dividing_power(Polynomial.zero(), 1, 2) is None
+    # the pair is checked before the zero shortcut, as for nonzero P
+    for P in (Polynomial.zero(), p):
+        with pytest.raises(ValueError):
+            largest_dividing_power(P, 1, 1)
 
 
 def test_symmetric_polynomials_are_quasiinvariant_for_all_m():
@@ -285,53 +286,28 @@ def test_antisymmetric_basis_spans_the_alternated_graded_slice(m):
         def rows(polys):
             return [[P.coefficient(mono) for mono in monos] for P in polys]
 
-        ours = rows(antisymmetric_qi_basis(m, d))
-        theirs = rows(alt.apply(Q) for Q in graded_qi_basis(m, d))
-        assert rank(ours) == len(ours)
-        assert rank(ours) == rank(theirs) == rank(ours + theirs)
+        alternated = rows(alt.apply(Q) for Q in graded_qi_basis(m, d))
+        assert quasi._alternating_count(m, d) == rank(alternated), (m, d)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_antisymmetric_route_matches_full_route_on_delta_power(m):
-    delta = vandermonde_power(2 * m + 1)
-    assert antisymmetric_independent_modulo_ideal(delta, m)
-    assert independent_modulo_ideal([delta], m)
+    # the antisymmetric route is step (c) of the certificate: no
+    # antisymmetric quasiinvariant in the three degrees below 6m+3
+    assert not any(quasi._alternating_count(m, e) for e in range(6 * m, 6 * m + 3))
+    assert independent_modulo_ideal([vandermonde_power(2 * m + 1)], m)
 
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_e1_times_delta_power_lies_in_the_ideal_part(m):
     P = elementary(1) * vandermonde_power(2 * m + 1)
-    assert not antisymmetric_independent_modulo_ideal(P, m)
     assert not independent_modulo_ideal([P], m)
 
 
-def test_antisymmetric_route_delta_power_m4():
-    assert antisymmetric_independent_modulo_ideal(vandermonde_power(9), 4)
-
-
-@pytest.mark.parametrize(
-    "P",
-    [
-        Polynomial.zero(),
-        vandermonde() + vandermonde_power(3),
-        parse_poly("x1^4 - 2*x1^3*x2 - 2*x1^3*x3 + 6*x1^2*x2*x3"),
-        vandermonde_power(2),
-        x1 - x2,
-    ],
-    ids=["zero", "not-homogeneous", "A1", "Delta^2", "s12-only"],
-)
-def test_antisymmetric_independence_rejects_bad_input(P):
-    with pytest.raises(ValueError):
-        antisymmetric_independent_modulo_ideal(P, 1)
-
-
-def test_antisymmetric_qi_basis_small_degrees_and_bad_m():
-    assert antisymmetric_qi_basis(1, 2) == []
-    assert antisymmetric_qi_basis(0, 3) == [vandermonde()]
-    assert antisymmetric_qi_basis(1, 8) == []
-    assert antisymmetric_qi_basis(1, 9) == [vandermonde_power(3)]
-    with pytest.raises(ValueError):
-        antisymmetric_qi_basis(-1, 5)
+def test_alternating_count_small_degrees():
+    # none below degree 3; Delta at m = 0; Delta^3 first at m = 1
+    cases = ((1, 2), (0, 3), (1, 8), (1, 9))
+    assert [quasi._alternating_count(m, d) for m, d in cases] == [0, 1, 0, 1]
 
 
 def test_is_quasiinvariant_rejects_negative_m():
@@ -353,7 +329,7 @@ def test_free_module_certificate_agrees_with_exact_routes(m):
     b = quotient_elements(m)
     exact = (
         independent_modulo_ideal(b[1:3], m) and independent_modulo_ideal(b[3:5], m),
-        antisymmetric_independent_modulo_ideal(b[5], m),
+        independent_modulo_ideal([b[5]], m),
     )
     assert exact == free_module_certificate(b, m) == (True, True)
 

@@ -1,6 +1,6 @@
 """Property tests for the Taylor-shift divisibility test on random
 polynomials, for the ring and S3 structure of the quasiinvariants, and
-for independence modulo the ideal part on both routes."""
+for independence modulo the ideal part against a two-rank oracle."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -9,19 +9,15 @@ from itertools import permutations, product
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quasi3.group_ops import make_element
 from quasi3.linsys import nullspace_vectors, rank
 from quasi3.poly import (
     ALL_PERMS,
     TRANSPOSITIONS,
     Polynomial,
     elementary,
-    vandermonde,
     vandermonde_power,
 )
 from quasi3.quasi import (
-    antisymmetric_independent_modulo_ideal,
-    antisymmetric_qi_basis,
     graded_qi_basis,
     independent_modulo_ideal,
     is_quasiinvariant,
@@ -30,7 +26,13 @@ from quasi3.quasi import (
     qi_dimension,
     quotient_degrees,
 )
-from quasi3.quasi import _check_pair, _integer_terms, _s23_fixed_count, _shift_coefficient
+from quasi3.quasi import (
+    _alternating_count,
+    _check_pair,
+    _integer_terms,
+    _s23_fixed_count,
+    _shift_coefficient,
+)
 
 pairs = st.sampled_from(((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)))
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
@@ -152,20 +154,17 @@ def test_slices_match_all_order_rows():
         ]
         assert graded_qi_basis(m, d) == expected, (m, d)
 
-        # Delta f with f symmetric and (x1 - x2)^(2m) | f, in the monomial
-        # symmetric functions of the partitions of d - 3, descending
+        # for symmetric f, Delta f is quasiinvariant exactly when
+        # (x1 - x2)^(2m) divides f; f in the monomial symmetric functions
+        # of the partitions of d - 3
         n = d - 3
-        parts = sorted(
-            (lam for lam in product(range(n + 1), repeat=3)
-             if sum(lam) == n and lam[0] >= lam[1] >= lam[2]),
-            reverse=True,
-        )
-        sym = [Polynomial({exp: 1 for exp in permutations(lam)}) for lam in parts]
-        expected = [
-            vandermonde() * sum((c * f for c, f in zip(v, sym)), Polynomial.zero())
-            for v in (all_orders_kernel({(1, 2): sym}, 2 * m) if sym else [])
+        sym = [
+            Polynomial({exp: 1 for exp in permutations(lam)})
+            for lam in product(range(n + 1), repeat=3)
+            if sum(lam) == n and lam[0] >= lam[1] >= lam[2]
         ]
-        assert antisymmetric_qi_basis(m, d) == expected, (m, d)
+        expected = len(all_orders_kernel({(1, 2): sym}, 2 * m)) if sym else 0
+        assert _alternating_count(m, d) == expected, (m, d)
 
 
 @lru_cache(maxsize=None)
@@ -232,44 +231,6 @@ def test_quasiinvariance_survives_products_and_relabelling(data, m, d1, d2):
     assert is_quasiinvariant(P, m).is_quasiinvariant
     assert is_quasiinvariant(P * Q, m).is_quasiinvariant
     assert is_quasiinvariant(P.apply_perm(sigma), m).is_quasiinvariant
-
-
-@lru_cache(maxsize=None)
-def antisymmetric_spanning(m, d):
-    """Delta^(2m+1) times products of e1, e2, e3 of degree d - 6m - 3, and
-    the antisymmetrised ideal generators of degree d from the full slices."""
-    alt = make_element("S3alt")
-    n = d - 6 * m - 3
-    delta = vandermonde_power(2 * m + 1)
-    spanning = [
-        delta
-        * elementary(1) ** (n - 2 * b - 3 * c)
-        * elementary(2) ** b
-        * elementary(3) ** c
-        for c in range(n // 3 + 1)
-        for b in range((n - 3 * c) // 2 + 1)
-    ]
-    spanning += [alt.apply(P) for P in ideal_generators(m, d)]
-    return tuple(P for P in spanning if not P.is_zero())
-
-
-def test_antisymmetric_independence_matches_full_route():
-    verdicts = set()
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(st.data(), st.integers(0, 1))
-    def check(data, m):
-        # the quotient's antisymmetric part sits in degree 6m+3 alone, so
-        # favour it to see both verdicts
-        d = data.draw(st.just(6 * m + 3) | st.integers(6 * m + 3, 6 * m + 6))
-        P = combination(data, antisymmetric_spanning(m, d))
-        assume(not P.is_zero())
-        expected = independent_modulo_ideal([P], m)
-        assert antisymmetric_independent_modulo_ideal(P, m) == expected
-        verdicts.add(expected)
-
-    check()
-    assert verdicts == {False, True}
 
 
 def test_isotype_count_matches_full_slices():
