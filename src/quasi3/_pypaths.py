@@ -10,24 +10,21 @@ from __future__ import annotations
 
 
 def dp_count(x0: int, y0: int, x1: int, y1: int, barrier) -> int:
-    """Barrier-avoiding path count from (x0, y0) to (x1, y1), exact."""
+    """Barrier-avoiding path count from (x0, y0) to (x1, y1), exact.
+
+    One column, swept west from x0: col[t] counts the paths to
+    (x, y0 + t).  Seeded with the start, each cell adds the cell to its
+    south, already updated, to the cell to its east, still in place.
+    """
     if x1 > x0 or y1 < y0:
         return 0
-    height = y1 - y0
-    blocked = lambda x, y: barrier is not None and x + y == barrier
-    col = [0] * (height + 1)
-    col[0] = 0 if blocked(x0, y0) else 1
-    for t in range(1, height + 1):
-        col[t] = 0 if blocked(x0, y0 + t) else col[t - 1]
-    for x in range(x0 - 1, x1 - 1, -1):
-        new = [0] * (height + 1)
-        for t in range(height + 1):
-            if blocked(x, y0 + t):
-                new[t] = 0
-            else:
-                new[t] = col[t] + (new[t - 1] if t else 0)
-        col = new
-    return col[height]
+    col = [1] + [0] * (y1 - y0)
+    for x in range(x0, x1 - 1, -1):
+        blocked = None if barrier is None else barrier - x - y0
+        south = 0
+        for t, east in enumerate(col):
+            col[t] = south = 0 if t == blocked else east + south
+    return col[-1]
 
 
 def family_count(starts, ends, barrier) -> int:

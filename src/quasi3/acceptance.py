@@ -136,15 +136,16 @@ def criterion_2():
 
 @_criterion("uniqueness sweep m <= 6", 30.0)
 def criterion_3():
-    """Null space dimension 1 for m <= 6, both degrees; dets nonzero."""
+    """ansatz_coefficients accepts both degrees for m <= 6; dets nonzero."""
     details = []
     for m in range(7):
         for d in (3 * m + 1, 3 * m + 2):
-            sys = linsys.build_system(m, d)
-            vectors = linsys.nullspace(sys)
-            if len(vectors) != 1:
-                return False, f"nullity {len(vectors)} at (m={m}, d={d})"
+            try:
+                basis.ansatz_coefficients(m, d)
+            except basis.DegenerateSystemError as exc:
+                return False, str(exc)
             if m >= 1:
+                sys = linsys.build_system(m, d)
                 det = linsys.det_exact(linsys.restrict_Bm(sys).entries)
                 if det == 0:
                     return False, f"det zero at (m={m}, d={d})"

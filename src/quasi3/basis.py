@@ -3,8 +3,10 @@
 For order m the basis is (1, A1, s12 A1, A2, s12 A2, Delta^(2m+1)) where
 A1, A2 are the degree 3m+1 and 3m+2 quasiinvariants assembled from the
 null vectors of the coefficient systems and Delta is the Vandermonde
-determinant.  build_basis returns a report carrying every element, the
-raw null vectors, and the verification verdicts that were requested:
+determinant.  ansatz_coefficients is the one place that refuses a system
+whose null space does not determine the ansatz.  build_basis returns a
+report carrying every element, the raw null vectors, and the
+verification verdicts that were requested:
 
 * "degrees": element degrees match (0, 3m+1, 3m+1, 3m+2, 3m+2, 6m+3).
 * "quasi": plus quasiinvariance of every element and s23-invariance of
@@ -52,8 +54,9 @@ class DegenerateSystemError(RuntimeError):
 def ansatz_coefficients(m: int, d: int):
     """Labels and normalized null vector of the degree-d system.
 
-    Raises DegenerateSystemError unless the null space is exactly one
-    dimensional with nonzero leading ([0, 0]) coordinate.
+    The one refusal of a degenerate ansatz: raises DegenerateSystemError
+    unless the null space is exactly one dimensional with nonzero
+    leading ([0, 0]) coordinate.  linsys.nullspace only solves.
     """
     sys = build_system(m, d)
     vectors = nullspace(sys)

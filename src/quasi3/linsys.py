@@ -29,7 +29,6 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -279,16 +278,8 @@ def nullspace(sys: CoeffSystem):
 
     Each vector has first nonzero coordinate 1 (nullspace_vectors), and
     column 0 is [0, 0] in every system build_system and restrict_Bm
-    make, so a one-dimensional generator has [0, 0] coordinate 1 unless
-    it is zero.  A zero [0, 0] coordinate would contradict the
-    construction and is surfaced as a warning, never silently fixed.
+    make.  Only linear algebra happens here: basis.ansatz_coefficients
+    is the one place that refuses a null space which does not determine
+    the ansatz.
     """
-    basis = nullspace_vectors(sys.entries, len(sys.cols))
-    if len(basis) == 1 and basis[0][0] == 0:
-        warnings.warn(
-            f"null vector of system (m={sys.m}, d={sys.d}) has zero "
-            "[0, 0] coordinate; returning unnormalized",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return basis
+    return nullspace_vectors(sys.entries, len(sys.cols))

@@ -259,16 +259,6 @@ class Polynomial(Combination):
         return cls(out)
 
 
-def mono_sym(i: int, j: int) -> Polynomial:
-    """m_[i,j]: x2^i x3^j + x2^j x3^i for i != j, the single term for i == j."""
-    if i < 0 or j < 0:
-        raise ValueError("exponents must be nonnegative")
-    i, j = max(i, j), min(i, j)
-    if i == j:
-        return Polynomial.monomial((0, i, i))
-    return Polynomial({(0, i, j): 1, (0, j, i): 1})
-
-
 def elementary(k: int) -> Polynomial:
     """Elementary symmetric polynomial e_k in x1, x2, x3."""
     if k == 1:

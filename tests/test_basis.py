@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from quasi3 import acceptance, basis
 from quasi3.acceptance import GOLDEN_A1_M2, GOLDEN_A2_M2
 from quasi3.basis import (
     ELEMENT_NAMES,
     IDEAL_BUDGET,
     BasisReport,
+    DegenerateSystemError,
     ansatz_coefficients,
     assemble_ansatz,
     build_basis,
@@ -172,6 +174,40 @@ def test_build_basis_rejects_bad_input():
         build_basis(-1)
     with pytest.raises(ValueError):
         build_basis(1, verify="everything")
+
+
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        pytest.param(
+            [(1, 0, 0), (0, 1, 0)],
+            r"null space of system \(m=1, d=4\) has dimension 2, expected 1",
+            id="nullity-two",
+        ),
+        pytest.param(
+            [(Fraction(0), Fraction(1), Fraction(0))],
+            r"null vector of system \(m=1, d=4\) could not be normalized",
+            id="zero-leading-coordinate",
+        ),
+    ],
+)
+def test_ansatz_coefficients_is_the_one_refusal(monkeypatch, vectors, message):
+    # (m, d) = (1, 4) has the three ansatz labels [0, 0], [1, 0], [1, 1]
+    monkeypatch.setattr(basis, "nullspace", lambda sys: vectors)
+    with pytest.raises(DegenerateSystemError, match=message):
+        ansatz_coefficients(1, 4)
+    # criterion 3 reads the same refusal, so it fails at its first system
+    with pytest.raises(DegenerateSystemError) as first:
+        ansatz_coefficients(0, 1)
+    result = acceptance.criterion_3()
+    assert result.passed is False
+    assert result.detail == str(first.value)
+
+
+def test_criterion_3_passes_unpatched():
+    result = acceptance.criterion_3()
+    assert result.passed is True
+    assert result.detail == "unique ansatz for m in {0,1,2,3,4,5,6}"
 
 
 def test_elements_are_quasiinvariant_m2():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import quasi3
-from quasi3 import acceptance
+from quasi3 import acceptance, basis
 from quasi3.cli import build_parser, main
 from quasi3.linsys import extract_blocks
 from quasi3.poly import Polynomial, parse_poly
@@ -54,6 +54,27 @@ def test_basis_text_mentions_verdicts(capsys):
     assert "degrees ok: True" in out
     assert "quasiinvariance ok: True" in out
     assert "independence coinvariant_det_nonzero: True" in out
+
+
+@pytest.mark.parametrize(
+    "attr, value, verdict",
+    [
+        pytest.param("IDEAL_BUDGET", 0, "skipped (budget)", id="over-budget"),
+        pytest.param(
+            "free_module_certificate", lambda polys, m: (None, None),
+            "not certified", id="certificate-open",
+        ),
+    ],
+)
+def test_basis_text_unsettled_verdicts(capsys, monkeypatch, attr, value, verdict):
+    # a verdict of None is named for its cause, and never fails the report
+    monkeypatch.setattr(basis, attr, value)
+    code, out, _ = run_cli(capsys, "basis", "--m", "1", "--verify", "full")
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        f"independence {name}: {verdict}"
+        for name in ("pair_degree_3m+1", "pair_degree_3m+2", "delta_power")
+    ]
 
 
 def test_basis_deterministic_output(capsys):
@@ -226,6 +247,15 @@ def test_identity_thm1_json(capsys):
     assert obj["starts"] == [[1, 1], [0, 0]]
     assert obj["ends"] == [[0, 6], [0, 4]]
     assert obj["barrier"] == 9
+
+
+def test_identity_thm1_vanishing_prefactor_is_unchecked(capsys):
+    code, out, _ = run_cli(capsys, "identity", "thm1", "--params=0,1,0,-1,-1,1")
+    assert code == 0
+    assert "prefactor: None" in out.splitlines()
+    assert out.splitlines()[-1] == (
+        "family count: unchecked (prefactor denominator vanishes)"
+    )
 
 
 def test_identity_thm2_inapplicable_mismatch_exits_one(capsys):

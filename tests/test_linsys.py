@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from quasi3.arith import binom
 from quasi3.linsys import (
     MAX_ORDER,
-    CoeffSystem,
     build_system,
     coeff_A,
     det_exact,
@@ -399,16 +398,6 @@ def test_nullity_one_for_small_m():
             sys_ = build_system(m, d)
             vecs = nullspace_vectors(sys_.entries, len(sys_.cols))
             assert len(vecs) == 1
-
-
-def test_nullspace_warns_on_zero_leading_coordinate():
-    # the [0, 0] column is pinned to zero, so the generator is (0, 1)
-    sys_ = CoeffSystem(
-        m=1, d=4, rows=((0, 1),), cols=((0, 0), (1, 0)), entries=((1, 0),)
-    )
-    with pytest.warns(RuntimeWarning, match="zero \\[0, 0\\] coordinate"):
-        (vec,) = nullspace(sys_)
-    assert vec == (Fraction(0), Fraction(1))
 
 
 def test_m0_system_is_empty_with_free_column():

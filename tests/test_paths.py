@@ -45,12 +45,17 @@ def brute_force_count(x0, y0, x1, y1, barrier):
 
 
 def test_dp_matches_brute_force():
+    # barriers run over every sum from one below the start row's west end
+    # (x1 + y0) to one above the end column's north end (x0 + y1): through
+    # the start, the end, the first row and column, and the interior
     for x0 in range(0, 5):
-        for y1 in range(0, 6):
-            for barrier in [None] + list(range(-1, 11)):
-                got = _pypaths.dp_count(x0, 0, 0, y1, barrier)
-                want = brute_force_count(x0, 0, 0, y1, barrier)
-                assert got == want
+        for y0 in range(0, 4):
+            for x1 in range(0, x0 + 1):
+                for y1 in range(y0, y0 + 6):
+                    for barrier in [None, *range(x1 + y0 - 1, x0 + y1 + 2)]:
+                        got = _pypaths.dp_count(x0, y0, x1, y1, barrier)
+                        want = brute_force_count(x0, y0, x1, y1, barrier)
+                        assert got == want, (x0, y0, x1, y1, barrier)
 
 
 def test_dp_free_count_is_binomial():

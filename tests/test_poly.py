@@ -15,7 +15,6 @@ from quasi3.poly import (
     compose,
     elementary,
     format_poly,
-    mono_sym,
     parse_poly,
     sign,
     vandermonde,
@@ -142,15 +141,6 @@ def test_elementary_symmetric():
         elementary(0)
     with pytest.raises(ValueError):
         elementary(4)
-
-
-def test_mono_sym():
-    assert mono_sym(2, 0) == x2**2 + x3**2
-    assert mono_sym(0, 2) == mono_sym(2, 0)
-    assert mono_sym(1, 1) == x2 * x3
-    assert mono_sym(0, 0) == Polynomial.constant(1)
-    for i, j in ((3, 1), (2, 2), (4, 0)):
-        assert mono_sym(i, j).apply_perm(S23) == mono_sym(i, j)
 
 
 def test_vandermonde():
