@@ -32,6 +32,8 @@ def integer_scaled(values):
     """(den, ints): ints and Fractions as numerators over their lcm denominator."""
     # a list: unpacking a generator resizes a tuple, filling CPython's free lists
     den = lcm(*[x.denominator for x in values])
+    if den == 1:
+        return den, [x.numerator for x in values]
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 

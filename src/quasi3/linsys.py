@@ -9,7 +9,7 @@ Conventions, fixed once here and relied on everywhere else:
 
 * restrict_Bm keeps, for k < m, the top k+1 odd values l in
   {2m-2k-1, ..., 2m-1}; for k = m it keeps every odd l.  It drops the
-  column [m, m].  The result is square of size m(m+3)/2 and block lower
+  column [m, m].  The result is square of size m(m+3)/2 and block upper
   triangular in the ordering above.
 
 * extract_blocks returns the m+1 diagonal blocks f = 1..m+1, block f of

@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from math import comb
 
-from .arith import rational_from_str, rational_to_str
+from .arith import integer_scaled, rational_from_str, rational_to_str
 
 Exponent = tuple  # (a, b, c), nonnegative ints
 Permutation = tuple  # (sigma(1), sigma(2), sigma(3))
@@ -53,6 +53,11 @@ def term_key(exp: Exponent):
 
 
 def _check_exponent(exp) -> Exponent:
+    # fast path: a tuple of three non-negative ints, as products and parsing make
+    if type(exp) is tuple and len(exp) == 3:
+        a, b, c = exp
+        if type(a) is type(b) is type(c) is int and a >= 0 and b >= 0 and c >= 0:
+            return exp
     exp = tuple(exp)
     if len(exp) != 3 or any((not isinstance(e, int)) or e < 0 for e in exp):
         raise ValueError(f"bad exponent triple: {exp!r}")
@@ -71,7 +76,8 @@ class Combination:
         clean = {}
         if terms:
             for key, coeff in dict(terms).items():
-                coeff = Fraction(coeff)
+                if not isinstance(coeff, Fraction):
+                    coeff = Fraction(coeff)
                 if coeff:
                     clean[self._check_key(key)] = coeff
         object.__setattr__(self, "terms", clean)
@@ -198,12 +204,17 @@ class Polynomial(Combination):
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return super().__mul__(other)
+        # convolve integer numerators; one Fraction per output term
+        den1, nums1 = integer_scaled(self.terms.values())
+        den2, nums2 = integer_scaled(other.terms.values())
+        right = list(zip(other.terms, nums2))
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
-        return Polynomial(out)
+        for (a1, b1, c1), n1 in zip(self.terms, nums1):
+            for (a2, b2, c2), n2 in right:
+                key = (a1 + a2, b1 + b2, c1 + c2)
+                out[key] = out.get(key, 0) + n1 * n2
+        den = den1 * den2
+        return Polynomial({key: Fraction(v, den) for key, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -301,7 +312,8 @@ def vandermonde_power(p: int) -> Polynomial:
 # Whitespace is ignored; '*' between factors is optional.
 
 _TERM_RE = re.compile(
-    r"(?P<coeff>\d+(?:/\d+)?)?(?P<factors>(?:\*?x[123](?:\^\d+)?)*)\Z"
+    r"(?P<sign>[+-]?)(?:(?P<num>\d+)(?:/(?P<den>\d+))?)?"
+    r"(?P<factors>(?:\*?x[123](?:\^\d+)?)*)\Z"
 )
 _FACTOR_RE = re.compile(r"x([123])(?:\^(\d+))?")
 
@@ -316,29 +328,20 @@ def parse_poly(text: str) -> Polynomial:
         raise ValueError(f"cannot tokenize polynomial: {text!r}")
     out = {}
     for chunk in chunks:
-        sgn = 1
-        body = chunk
-        if body[0] in "+-":
-            if body[0] == "-":
-                sgn = -1
-            body = body[1:]
-        m = _TERM_RE.match(body)
-        if not m or not body:
+        m = _TERM_RE.match(chunk)
+        if not m or not (m["num"] or m["factors"]):
             raise ValueError(f"bad term {chunk!r} in polynomial: {text!r}")
-        coeff_text = m.group("coeff")
-        factors = m.group("factors") or ""
-        if coeff_text is None and not factors:
-            raise ValueError(f"bad term {chunk!r} in polynomial: {text!r}")
-        coeff = rational_from_str(coeff_text) if coeff_text else Fraction(1)
+        num, den, factors = m["num"], m["den"], m["factors"]
+        try:
+            coeff = Fraction(int(m["sign"] + (num or "1")), int(den or 1))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: '{num}/{den}'") from None
+        # _TERM_RE has matched every factor, so finditer reads them all
         exp = [0, 0, 0]
-        consumed = 0
         for fm in _FACTOR_RE.finditer(factors):
             exp[int(fm.group(1)) - 1] += int(fm.group(2) or 1)
-            consumed += 1
-        if consumed != factors.replace("*", "").count("x"):
-            raise ValueError(f"bad factors in term {chunk!r}")
         key = tuple(exp)
-        out[key] = out.get(key, Fraction(0)) + sgn * coeff
+        out[key] = out[key] + coeff if key in out else coeff
     return Polynomial(out)
 
 

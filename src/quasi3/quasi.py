@@ -4,11 +4,19 @@ A polynomial P is m-quasiinvariant when, for every transposition s_ij,
 the difference (1 - s_ij) P is divisible by (x_i - x_j)^(2m+1).
 Divisibility is decided exactly by a Taylor shift: substituting
 x_i = x_j + t, (x_i - x_j)^p divides a polynomial when its coefficients
-of t^0 .. t^(p-1) vanish.  The search runs on integer numerators.
+of t^0 .. t^(p-1) vanish.  A term x_i^a x_j^b x_k^c feeds only the
+monomials x_j^(a+b-r) x_k^c t^r, with weight binom(a, r).  So the integer
+numerators are grouped by (a + b, c) into lists q indexed by a, the t^r
+coefficient of a group is the r-th Taylor coefficient of q at y = 1, and
+the largest dividing power is the least multiplicity of the root y = 1
+over the nonzero groups, found by repeated synthetic division (Knuth,
+TAOCP vol. 2, 4.6.4).  s_ij reverses each group, so (1 - s_ij) P is
+q minus its reverse, group by group.
 
-Parity halves the search.  s_ij sends t to -t, so a polynomial that s_ij
-negates, such as (1 - s_ij) P, has its lowest nonzero Taylor order odd,
-and one that s_ij fixes has it even; only those orders are built, as the
+Parity prunes the orders of the slice rows.  s_ij sends t to -t, so a
+polynomial that s_ij negates, such as (1 - s_ij) P, has its lowest
+nonzero Taylor order odd, and one that s_ij fixes has it even; the
+graded-slice rows (_taylor_rows) build only those orders, as the
 constraint rows (k, l) of linsys.system_rows keep only odd l.
 
 The module also provides the degree-d slice of the m-quasiinvariant ring
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb
 
 from .arith import integer_scaled
@@ -56,18 +64,13 @@ def _integer_terms(P: Polynomial):
     return den, list(zip(P.terms, nums))
 
 
-def _swapped(exp, i: int, j: int):
-    """exp with the exponents of x_i and x_j swapped: s_ij on a monomial."""
-    out = list(exp)
-    out[i - 1], out[j - 1] = exp[j - 1], exp[i - 1]
-    return tuple(out)
-
-
 def _difference(terms, i: int, j: int):
     """(1 - s_ij) P on integer terms, with the cancelled terms dropped."""
     diff = {}
     for exp, num in terms:
-        swapped = _swapped(exp, i, j)
+        swapped = list(exp)
+        swapped[i - 1], swapped[j - 1] = exp[j - 1], exp[i - 1]
+        swapped = tuple(swapped)
         diff[exp] = diff.get(exp, 0) + num
         diff[swapped] = diff.get(swapped, 0) - num
     return [(exp, num) for exp, num in diff.items() if num]
@@ -91,30 +94,58 @@ def _shift_coefficient(terms, i: int, j: int, r: int):
     return out
 
 
-def _first_nonzero_order(terms, i: int, j: int, orders):
-    """The first r in orders whose t^r coefficient is nonzero, else None.
+def _groups(terms, i: int, j: int):
+    """P's integer terms grouped for x_i = x_j + t: one list q per
+    (a + b, c), indexed by a, for the terms x_i^a x_j^b x_k^c.
 
-    The coefficients are computed one at a time and the search stops
-    there.
+    Such a term gives binom(a, r) x_j^(a+b-r) x_k^c t^r, so the t^r
+    coefficient of a group is sum_a q[a] binom(a, r), the r-th Taylor
+    coefficient of q(y) = sum_a q[a] y^a at y = 1, and no two groups share
+    a monomial.
     """
-    return next(
-        (r for r in orders if any(_shift_coefficient(terms, i, j, r).values())),
-        None,
-    )
+    k = 6 - i - j
+    groups = {}
+    for exp, num in terms:
+        a = exp[i - 1]
+        s = a + exp[j - 1]
+        key = (s, exp[k - 1])
+        q = groups.get(key)
+        if q is None:
+            q = groups[key] = [0] * (s + 1)
+        q[a] = num
+    return groups.values()
+
+
+def _lowest_order(groups):
+    """The lowest r with a nonzero t^r coefficient, else None.
+
+    That is the least multiplicity of the root y = 1 over the nonzero
+    groups, each found by repeated synthetic division: the running sums of
+    q end in q(1), and when q(1) = 0 the others are, up to sign, the
+    quotient by y - 1.  No group is divided past the least found so far.
+    """
+    least = None
+    for q in groups:
+        if not any(q):
+            continue
+        r = 0
+        while least is None or r < least:
+            q = list(accumulate(q))
+            if q.pop():
+                break
+            r += 1
+        least = r
+    return least
 
 
 def largest_dividing_power(P: Polynomial, i: int, j: int):
     """Largest p with (x_i - x_j)^p | P, or None when P is zero.
 
-    That is the lowest r with a nonzero Taylor coefficient c_r, searched
-    over every order.
+    That is the lowest r with a nonzero Taylor coefficient c_r.
     """
     _check_pair(i, j)
-    if P.is_zero():
-        return None
     _, terms = _integer_terms(P)
-    # c_r for r = deg_{x_i} P is the leading x_i coefficient, never zero
-    return _first_nonzero_order(terms, i, j, range(P.var_degree(i) + 1))
+    return _lowest_order(_groups(terms, i, j))
 
 
 @dataclass(frozen=True)
@@ -144,10 +175,10 @@ def is_quasiinvariant(P: Polynomial, m: int) -> QuasiReport:
     _, terms = _integer_terms(P)
     checks = []
     for i, j in TRANSPOSITIONS:
-        diff = _difference(terms, i, j)
-        # s_ij negates the difference, so its lowest nonzero order is odd
-        top = max((exp[i - 1] for exp, _ in diff), default=0)
-        power = _first_nonzero_order(diff, i, j, range(1, top + 1, 2))
+        # s_ij sends the term at index a of a group to index s - a
+        power = _lowest_order(
+            [x - y for x, y in zip(q, reversed(q))] for q in _groups(terms, i, j)
+        )
         checks.append(
             TranspositionCheck(
                 pair=(i, j),

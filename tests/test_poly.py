@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -75,6 +76,79 @@ def test_ring_axioms_random():
         assert p * (q + r) == p * q + p * r
         assert p * q == q * p
         assert (p * q) * r == p * (q * r)
+
+
+def fraction_product(p, q):
+    """p * q term by term on Fractions: the oracle for the integer product."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+@checked
+@given(polys, polys)
+def test_integer_product_matches_fraction_product(p, q):
+    assert (p * q).terms == fraction_product(p, q)
+
+
+def test_integer_product_with_unlike_denominators_and_cancellation():
+    p = Fraction(1, 2) * x1 + Fraction(1, 3) * x2
+    q = Fraction(1, 2) * x1 - Fraction(1, 3) * x2
+    # the x1 x2 terms cancel: 1/6 - 1/6
+    assert (p * q).terms == fraction_product(p, q)
+    assert (p * q).terms == {(2, 0, 0): Fraction(1, 4), (0, 2, 0): Fraction(-1, 9)}
+    r = Fraction(3, 4) * x1 * x3 - Fraction(5, 6) * x2**2 + Fraction(7, 10)
+    assert (p * r).terms == fraction_product(p, r)
+    assert (p * (q - q)).is_zero()
+
+
+def assert_canonical(P):
+    """Every coefficient is a nonzero Fraction in lowest terms, so that
+    dividing two coefficients stays exact."""
+    for c in P.terms.values():
+        assert isinstance(c, Fraction)
+        assert c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+@checked
+@given(polys, polys)
+def test_coefficients_stay_canonical(p, q):
+    for P in (
+        p * q,
+        p.apply_perm((2, 3, 1)),
+        parse_poly(format_poly(p)),
+        Polynomial.from_json_obj(p.to_json_obj()),
+        Polynomial({(1, 0, 0): 4, (0, 1, 0): 0, (0, 0, 1): Fraction(6, 4)}),
+    ):
+        assert_canonical(P)
+
+
+def test_coefficients_stay_canonical_on_fixed_inputs():
+    for P in (
+        vandermonde_power(5),
+        parse_poly("2/4*x1 + 3/6*x1 - 6/3 x2^2 + x2^2 + 7"),
+        Polynomial.from_json_obj([{"e": [0, 1, 2], "c": "-4/6"}]),
+        (x1 * Fraction(2, 3)) * (x2 * Fraction(3, 2)),
+    ):
+        assert_canonical(P)
+        assert all(type(c) is Fraction for c in P.terms.values())
+
+
+@pytest.mark.parametrize("exp", [(-1, 0, 0), (1.5, 0, 0), (1, 0), (1, 0, 0, 0)])
+def test_constructor_rejects_bad_exponent(exp):
+    with pytest.raises(ValueError, match="bad exponent triple"):
+        Polynomial({exp: 1})
+
+
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(ValueError, match=r"^zero denominator: '3/0'$"):
+        parse_poly("3/0*x1")
+    with pytest.raises(ValueError, match=r"^zero denominator: '1/00'$"):
+        parse_poly("x2 - 1/00")
 
 
 def test_degree_and_homogeneity():

@@ -89,7 +89,7 @@ def test_largest_dividing_power():
     assert largest_dividing_power(p, 1, 3) == 4
     assert largest_dividing_power(p, 1, 2) == 0
     assert largest_dividing_power(Polynomial.zero(), 1, 2) is None
-    # the pair is checked before the zero shortcut, as for nonzero P
+    # the pair is checked for the zero polynomial too
     for P in (Polynomial.zero(), p):
         with pytest.raises(ValueError):
             largest_dividing_power(P, 1, 1)
@@ -124,6 +124,20 @@ def test_non_quasiinvariant_detected():
     bad = [c for c in report.checks if not c.divisible]
     assert [c.pair for c in bad] == [(1, 2), (1, 3)]
     assert all(c.largest_power == 1 and c.required_power == 3 for c in bad)
+
+
+def test_difference_fixed_by_the_pair_reads_zero():
+    # s12 fixes P, so every group of (1 - s12) P is zero; the other two
+    # differences carry the planted factors (x1 - x3)^5 and (x2 - x3)^5
+    P = (x1 - x3) ** 5 * (x2 - x3) ** 5 * (x1 + x2)
+    by_pair = {c.pair: c for c in is_quasiinvariant(P, 3).checks}
+    assert by_pair[(1, 2)].difference_zero is True
+    assert by_pair[(1, 2)].largest_power is None
+    assert by_pair[(1, 2)].divisible is True
+    for pair in ((1, 3), (2, 3)):
+        assert by_pair[pair].difference_zero is False
+        assert by_pair[pair].largest_power == 5
+        assert by_pair[pair].divisible is False
 
 
 def test_quasiinvariants_form_a_ring():

@@ -34,7 +34,8 @@ from quasi3.quasi import (
     _shift_coefficient,
 )
 
-pairs = st.sampled_from(((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)))
+ORDERED_PAIRS = ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2))
+pairs = st.sampled_from(ORDERED_PAIRS)
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.dictionaries(exponents, coefficients, max_size=6).map(Polynomial)
@@ -111,19 +112,55 @@ divisible_polys = (
 )
 
 
+def lowest_shift_order(P, i, j):
+    """The lowest r with a nonzero t^r coefficient, searched order by order
+    on the per-order shift kernel, else None: the oracle for the grouped
+    synthetic-division search."""
+    _, terms = _integer_terms(P)
+    return next(
+        (
+            r
+            for r in range(P.var_degree(i) + 1)
+            if any(_shift_coefficient(terms, i, j, r).values())
+        ),
+        None,
+    )
+
+
+@checked
+@given(divisible_polys)
+def test_grouped_search_matches_shift_coefficients(P):
+    for pair in ORDERED_PAIRS:
+        assert largest_dividing_power(P, *pair) == lowest_shift_order(P, *pair)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(divisible_polys, st.integers(0, 4))
 def test_odd_order_search_matches_all_orders(P, m):
-    """is_quasiinvariant searches odd orders only; largest_dividing_power
-    on P - s_ij P, searching every order, is the oracle."""
+    """is_quasiinvariant's grouped search on (1 - s_ij) P against every
+    order of the per-order shift kernel; the lowest order is odd."""
     report = is_quasiinvariant(P, m)
     for check, (pair, perm) in zip(report.checks, TRANSPOSITIONS.items()):
-        power = largest_dividing_power(P - P.apply_perm(perm), *pair)
+        power = lowest_shift_order(P - P.apply_perm(perm), *pair)
         assert check.pair == pair
         assert check.largest_power == power
         assert check.difference_zero == (power is None)
         assert power is None or power % 2 == 1
         assert check.divisible == (power is None or power >= 2 * m + 1)
+
+
+@checked
+@given(polys, st.integers(0, 4))
+def test_symmetric_under_the_pair_has_zero_difference(P, m):
+    """P + s_ij P is fixed by s_ij, so every group of its difference is
+    zero: no division runs and the check reads zero, not a power."""
+    for pair, perm in TRANSPOSITIONS.items():
+        fixed = P + P.apply_perm(perm)
+        check = is_quasiinvariant(fixed, m).checks[list(TRANSPOSITIONS).index(pair)]
+        assert check.pair == pair
+        assert check.difference_zero is True
+        assert check.largest_power is None
+        assert check.divisible is True
 
 
 def all_orders_kernel(unknowns, count):
