@@ -1,9 +1,10 @@
 """Lattice path counting kernels in pure Python: pure kernels; callers guard.
 
 Paths take unit NORTH (+y) and WEST (-x) steps.  A barrier L forbids
-every vertex with x + y == L.  Families pair starts[t] with ends[t] and
-count tuples of pairwise vertex-disjoint paths.  Neither kernel bounds
-its own work: paths._count_family decides whether a family is counted.
+every vertex with x + y == L; family_count marks those vertices occupied
+before its walk.  Families pair starts[t] with ends[t] and count tuples
+of pairwise vertex-disjoint paths.  Neither kernel bounds its own work:
+paths._count_family decides whether a family is counted.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ def dp_count(x0: int, y0: int, x1: int, y1: int, barrier) -> int:
 def family_count(starts, ends, barrier) -> int:
     """Count pairwise vertex-disjoint path tuples, starts[t] -> ends[t].
 
-    Walks every candidate tuple, recursing once per lattice step, so a
-    long enough path raises RecursionError.
+    Walks every candidate tuple depth first, one frame per vertex
+    entered, so a family of more than about 1000 vertices raises
+    RecursionError.  used holds the occupied vertices, the barrier's
+    included: (x, y) is bit x * top + y, top being the largest end
+    height plus 1.  walk tests a vertex's bit once, on entering it.
     """
     k = len(starts)
     if k != len(ends):
@@ -41,33 +45,27 @@ def family_count(starts, ends, barrier) -> int:
 
     top = max(y for _, y in ends) + 1
 
-    def bit(x, y):
-        return 1 << (x * top + y)
-
-    def blocked(x, y):
-        return barrier is not None and x + y == barrier
-
     def walk(t, x, y, used):
+        b = 1 << (x * top + y)
+        if used & b:
+            return 0
+        used |= b
         ex, ey = ends[t]
         if x == ex and y == ey:
             if t == k - 1:
                 return 1
-            nx, ny = starts[t + 1]
-            if blocked(nx, ny) or used & bit(nx, ny):
-                return 0
-            return walk(t + 1, nx, ny, used | bit(nx, ny))
+            return walk(t + 1, *starts[t + 1], used)
         total = 0
-        if y + 1 <= ey and not blocked(x, y + 1):
-            b = bit(x, y + 1)
-            if not used & b:
-                total += walk(t, x, y + 1, used | b)
-        if x - 1 >= ex and not blocked(x - 1, y):
-            b = bit(x - 1, y)
-            if not used & b:
-                total += walk(t, x - 1, y, used | b)
+        if y < ey:
+            total += walk(t, x, y + 1, used)
+        if x > ex:
+            total += walk(t, x - 1, y, used)
         return total
 
-    sx, sy = starts[0]
-    if blocked(sx, sy):
-        return 0
-    return walk(0, sx, sy, bit(sx, sy))
+    # occupy the barrier's vertices with 0 <= x <= largest start x, 0 <= y < top
+    used = 0
+    if barrier is not None:
+        right = max(x for x, _ in starts)
+        for x in range(max(barrier - top + 1, 0), min(barrier, right) + 1):
+            used |= 1 << (x * top + barrier - x)
+    return walk(0, *starts[0], used)

@@ -59,7 +59,7 @@ def _check_exponent(exp) -> Exponent:
         if type(a) is type(b) is type(c) is int and a >= 0 and b >= 0 and c >= 0:
             return exp
     exp = tuple(exp)
-    if len(exp) != 3 or any((not isinstance(e, int)) or e < 0 for e in exp):
+    if len(exp) != 3 or any(type(e) is not int or e < 0 for e in exp):
         raise ValueError(f"bad exponent triple: {exp!r}")
     return exp
 
@@ -262,7 +262,7 @@ class Polynomial(Combination):
                 raise ValueError(
                     f'term needs three integers "e" and a string "c": {item!r}'
                 )
-            exp = _check_exponent(e)
+            exp = tuple(e)  # the constructor checks it
             coeff = rational_from_str(c)
             if exp in out:
                 raise ValueError(f"duplicate exponent {exp} in polynomial JSON")

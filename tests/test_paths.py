@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quasi3 import _pypaths, paths
@@ -185,12 +185,27 @@ pair = st.tuples(
 ).map(lambda t: ((t[0], t[1]), (max(t[0] - t[2], 0), t[1] + t[3])))
 
 
+two_pairs = [((1, 1), (0, 3)), ((3, 2), (1, 5))]
+
+
 @checked
 @given(
     st.lists(pair, min_size=1, max_size=3),
     st.sampled_from(("ascending", "descending")),
     st.one_of(st.none(), st.integers(0, 12)),
 )
+# the barrier through the first start, a later start, the highest end, nowhere
+@example(two_pairs, "ascending", 2)
+@example(two_pairs, "ascending", 5)
+@example(two_pairs, "ascending", 6)
+@example(two_pairs, "ascending", -1)
+@example(two_pairs, "ascending", 20)
+# x + y runs from 2 to 4, so every route meets x + y = 3 inside
+@example([((2, 0), (0, 4))], "ascending", 3)
+# the second start (1, 0) lies on the first path's only route
+@example([((2, 0), (0, 0)), ((1, 0), (0, 2))], "descending", None)
+# a start above its end, its bit past top: no route, so count 0
+@example([((0, 0), (0, 2)), ((1, 6), (0, 3))], "ascending", None)
 def test_family_count_matches_oracle(pairs, order, barrier):
     # thm2 lists its pairs in ascending order, thm1 in descending order
     pairs = sorted(pairs, reverse=(order == "descending"))

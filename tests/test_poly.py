@@ -138,7 +138,9 @@ def test_coefficients_stay_canonical_on_fixed_inputs():
         assert all(type(c) is Fraction for c in P.terms.values())
 
 
-@pytest.mark.parametrize("exp", [(-1, 0, 0), (1.5, 0, 0), (1, 0), (1, 0, 0, 0)])
+@pytest.mark.parametrize(
+    "exp", [(-1, 0, 0), (1.5, 0, 0), (1, 0), (1, 0, 0, 0), (True, 0, 0)]
+)
 def test_constructor_rejects_bad_exponent(exp):
     with pytest.raises(ValueError, match="bad exponent triple"):
         Polynomial({exp: 1})
@@ -279,6 +281,11 @@ def test_json_round_trip(p):
 def test_json_rejects_malformed_term(term):
     with pytest.raises(ValueError, match="term needs"):
         Polynomial.from_json_obj([term])
+
+
+def test_json_rejects_negative_exponent():
+    with pytest.raises(ValueError, match=r"^bad exponent triple: \(-1, 0, 0\)$"):
+        Polynomial.from_json_obj([{"e": [-1, 0, 0], "c": "1"}])
 
 
 def test_str_is_parseable():
