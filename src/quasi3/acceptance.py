@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import basis, group_ops, linsys, paths, quasi
-from .poly import Polynomial, parse_poly
+from .poly import parse_poly
 
 GOLDEN_A1_M1 = "x1^4 - 2*x1^3*x2 - 2*x1^3*x3 + 6*x1^2*x2*x3"
 GOLDEN_A2_M1 = "x1^5 - 5/3*x1^4*x2 - 5/3*x1^4*x3 + 10/3*x1^3*x2*x3"
@@ -292,18 +292,9 @@ def criterion_9():
 
 @_criterion("group algebra identities", 10.0)
 def criterion_10():
-    """Group algebra identities, element level and 100 random samples."""
-    rng = random.Random(1234)
-    samples = []
-    for _ in range(100):
-        terms = {}
-        for _ in range(rng.randint(1, 12)):
-            exp = tuple(rng.randint(0, 8) for _ in range(3))
-            if sum(exp) > 8:
-                exp = (exp[0] % 3, exp[1] % 3, exp[2] % 3)
-            terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        samples.append(Polynomial(terms))
-    report = group_ops.verify_identities(samples)
+    """Group algebra identities, element level and 100 random samples:
+    what `quasi3 identities --samples 100 --seed 1234` checks."""
+    report = group_ops.verify_identities(group_ops.random_samples(1234, 100))
     if not all(report.element_level.values()):
         bad = [k for k, v in report.element_level.items() if not v]
         return False, f"element-level failures: {bad}"

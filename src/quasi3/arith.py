@@ -23,7 +23,7 @@ def binom(n: int, k: int) -> int:
     Returns 0 whenever k < 0, k > n, or n < 0, so that expressions like
     binom(h, s) - binom(h, L - s) evaluate cleanly at edge indices.
     """
-    if n < 0 or k < 0 or k > n:
+    if n < 0 or k < 0:
         return 0
     return comb(n, k)
 

@@ -176,7 +176,13 @@ def cmd_system(args) -> int:
     shown = linsys.restrict_Bm(sys_) if args.restrict_bm else sys_
     blocks = linsys.extract_blocks(args.m, args.d) if args.blocks else None
     if args.format == "json":
-        obj = shown.to_json_obj()
+        obj = {
+            "m": shown.m,
+            "d": shown.d,
+            "rows": [list(r) for r in shown.rows],
+            "cols": [list(c) for c in shown.cols],
+            "entries": _str_rows(shown.entries),
+        }
         if args.blocks:
             obj["blocks"] = [_str_rows(b) for b in blocks]
         _print_json(obj)
@@ -370,15 +376,9 @@ def cmd_identity_sweep(args) -> int:
 def cmd_identities(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
-    rng = random.Random(args.seed)
-    samples = []
-    for _ in range(args.samples):
-        terms = {}
-        for _ in range(rng.randint(1, 10)):
-            exp = tuple(rng.randint(0, 4) for _ in range(3))
-            terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        samples.append(Polynomial(terms))
-    report = group_ops.verify_identities(samples)
+    report = group_ops.verify_identities(
+        group_ops.random_samples(args.seed, args.samples)
+    )
     if args.format == "json":
         _print_json(
             {

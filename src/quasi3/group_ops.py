@@ -18,6 +18,7 @@ verified both at the element level and on sample polynomials.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,6 +159,20 @@ class IdentityReport:
     element_level: dict  # label -> bool
     sample_level: tuple  # one dict per sample polynomial
     passed: bool
+
+
+def random_samples(seed: int, count: int) -> list:
+    """count seeded sample polynomials: 1 to 10 terms, each exponent at
+    most 4, coefficients p/q with |p| <= 9 and 1 <= q <= 9."""
+    rng = random.Random(seed)
+    samples = []
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(1, 10)):
+            exp = tuple(rng.randint(0, 4) for _ in range(3))
+            terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        samples.append(Polynomial(terms))
+    return samples
 
 
 def verify_identities(samples) -> IdentityReport:

@@ -85,15 +85,6 @@ class CoeffSystem:
     def shape(self):
         return (len(self.rows), len(self.cols))
 
-    def to_json_obj(self):
-        return {
-            "m": self.m,
-            "d": self.d,
-            "rows": [list(r) for r in self.rows],
-            "cols": [list(c) for c in self.cols],
-            "entries": [[str(x) for x in row] for row in self.entries],
-        }
-
 
 def _check_order_degree(m: int, d: int) -> None:
     """Refuse m above MAX_ORDER and degrees other than 3m+1, 3m+2."""
@@ -235,13 +226,11 @@ def _eliminate(matrix, reduced: bool):
 
 def det_exact(matrix) -> Fraction:
     """Determinant from the integer echelon form of _eliminate, formed
-    as one Fraction at the end; zero when the rank is short."""
+    as one Fraction at the end; a short rank leaves a 0 on the diagonal."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    rows, pivots, swaps, gcds, divisors = _eliminate(matrix, reduced=False)
-    if len(pivots) < n:
-        return Fraction(0)
+    rows, _, swaps, gcds, divisors = _eliminate(matrix, reduced=False)
     diagonal = (-1) ** swaps * prod(rows[k][k] for k in range(n))
     return Fraction(diagonal * prod(gcds), prod(divisors))
 

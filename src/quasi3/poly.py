@@ -165,8 +165,8 @@ class Polynomial(Combination):
         return cls({tuple(exp): 1})
 
     @classmethod
-    def monomial(cls, exp, coeff=1) -> "Polynomial":
-        return cls({tuple(exp): coeff})
+    def monomial(cls, exp) -> "Polynomial":
+        return cls({tuple(exp): 1})
 
     def degree(self):
         """Total degree, or None for the zero polynomial."""

@@ -11,7 +11,9 @@ coefficient of a group is the r-th Taylor coefficient of q at y = 1, and
 the largest dividing power is the least multiplicity of the root y = 1
 over the nonzero groups, found by repeated synthetic division (Knuth,
 TAOCP vol. 2, 4.6.4).  s_ij reverses each group, so (1 - s_ij) P is
-q minus its reverse, group by group.
+q minus its reverse, group by group.  is_quasiinvariant is the one
+public divisibility search; each TranspositionCheck.largest_power it
+reports is the largest dividing power of (1 - s_ij) P.
 
 Parity prunes the orders of the slice rows.  s_ij sends t to -t, so a
 polynomial that s_ij negates, such as (1 - s_ij) P, has its lowest
@@ -50,11 +52,6 @@ from .poly import (
     Polynomial,
     elementary,
 )
-
-
-def _check_pair(i: int, j: int):
-    if i == j or i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError("need two distinct variable indices in 1..3")
 
 
 def _integer_terms(P: Polynomial):
@@ -138,16 +135,6 @@ def _lowest_order(groups):
     return least
 
 
-def largest_dividing_power(P: Polynomial, i: int, j: int):
-    """Largest p with (x_i - x_j)^p | P, or None when P is zero.
-
-    That is the lowest r with a nonzero Taylor coefficient c_r.
-    """
-    _check_pair(i, j)
-    _, terms = _integer_terms(P)
-    return _lowest_order(_groups(terms, i, j))
-
-
 @dataclass(frozen=True)
 class TranspositionCheck:
     pair: tuple  # (i, j)
@@ -168,7 +155,9 @@ class QuasiReport:
 
 
 def is_quasiinvariant(P: Polynomial, m: int) -> QuasiReport:
-    """Check (1 - s_ij) P divisible by (x_i - x_j)^(2m+1) for all pairs."""
+    """Check (1 - s_ij) P divisible by (x_i - x_j)^(2m+1) for all pairs:
+    the one public divisibility search, each check's largest_power being
+    the largest dividing power of (1 - s_ij) P (None when it is zero)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     need = 2 * m + 1

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import quasi3
-from quasi3 import acceptance, basis
+from quasi3 import acceptance, basis, group_ops
 from quasi3.cli import build_parser, main
 from quasi3.linsys import extract_blocks
 from quasi3.poly import Polynomial, parse_poly
@@ -559,6 +560,23 @@ def test_identities_json(capsys):
     assert len(obj["element_level"]) == 8
 
 
+def test_criterion_10_and_identities_share_the_sample_drawer(capsys, monkeypatch):
+    calls = []
+    drawer = group_ops.random_samples
+
+    def recording(seed, count):
+        calls.append((seed, count))
+        return drawer(seed, count)
+
+    monkeypatch.setattr(group_ops, "random_samples", recording)
+    result = acceptance.criterion_10()
+    assert result.passed
+    assert result.detail == "8 identities, element level plus 100 samples"
+    code, _, _ = run_cli(capsys, "identities", "--samples", "7", "--seed", "5")
+    assert code == 0
+    assert calls == [(1234, 100), (5, 7)]
+
+
 def test_identities_zero_samples_runs_element_level(capsys):
     code, out, _ = run_cli(capsys, "identities", "--samples", "0", "--seed", "9")
     assert code == 0
@@ -750,3 +768,11 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["agree"] is True
+
+
+def test_console_script_target_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["quasi3"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main

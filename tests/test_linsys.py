@@ -176,7 +176,7 @@ checked = settings(max_examples=200, deadline=None, derandomize=True)
 @example([])
 @example([[], [], []])
 @example([[0, 0], [0, 0]])
-def test_rref_matches_fraction_gauss_jordan(matrix):
+def test_nullspace_matches_fraction_gauss_jordan(matrix):
     ncols = len(matrix[0]) if matrix else 0
     basis = nullspace_vectors(matrix, ncols)
     assert basis == kernel_oracle(matrix, ncols)

@@ -22,13 +22,12 @@ from quasi3.quasi import (
     graded_qi_basis,
     independent_modulo_ideal,
     is_quasiinvariant,
-    largest_dividing_power,
     monomials_of_degree,
     qi_dimension,
     qi_dimension_series,
     quotient_degrees,
 )
-from test_quasi_properties import taylor_coefficients
+from test_quasi_properties import largest_dividing_power, taylor_coefficients
 
 x1 = Polynomial.variable(1)
 x2 = Polynomial.variable(2)

@@ -21,15 +21,15 @@ from quasi3.quasi import (
     graded_qi_basis,
     independent_modulo_ideal,
     is_quasiinvariant,
-    largest_dividing_power,
     monomials_of_degree,
     qi_dimension,
     quotient_degrees,
 )
 from quasi3.quasi import (
     _alternating_count,
-    _check_pair,
+    _groups,
     _integer_terms,
+    _lowest_order,
     _s23_fixed_count,
     _shift_coefficient,
 )
@@ -55,16 +55,28 @@ def at_diagonal(P, i, j):
     return Polynomial(out)
 
 
+def check_pair(i: int, j: int):
+    if i == j or i not in (1, 2, 3) or j not in (1, 2, 3):
+        raise ValueError("need two distinct variable indices in 1..3")
+
+
+def largest_dividing_power(P: Polynomial, i: int, j: int):
+    """Largest p with (x_i - x_j)^p | P, or None when P is zero: the
+    grouped search behind is_quasiinvariant, run on P itself."""
+    check_pair(i, j)
+    return _lowest_order(_groups(_integer_terms(P)[1], i, j))
+
+
 def taylor_coefficients(P: Polynomial, i: int, j: int, count: int):
     """Coefficients c_0 .. c_(count-1) of P expanded in t = x_i - x_j.
 
     Substituting x_i = x_j + t writes P = sum_r c_r (x_i - x_j)^r with
     every c_r free of x_i, so (x_i - x_j)^p divides P exactly when
     c_0 .. c_(p-1) all vanish.  Built on the integer shift kernel behind
-    largest_dividing_power; the tests rebuild P from the c_r by
+    the graded-slice rows; the tests rebuild P from the c_r by
     Polynomial arithmetic, which checks that kernel independently.
     """
-    _check_pair(i, j)
+    check_pair(i, j)
     if count < 0:
         raise ValueError("count must be nonnegative")
     den, terms = _integer_terms(P)

@@ -5,7 +5,9 @@ reports a vanished one only as a missing layer whose metrics read 0, so a
 refactor that renames or deletes a traced function would go unnoticed.
 The names below are dead already (paths._count_family calls
 _pypaths.family_count directly, so paths.count_families_bruteforce is
-gone); ROADMAP item 1 (benchmark upkeep) drops or retargets them.
+gone, and is_quasiinvariant is the one public divisibility search, so
+quasi.largest_dividing_power is gone); ROADMAP item 1 (benchmark upkeep)
+drops or retargets them.
 perfbench/run.py's set-up probe imports the CLI and builds its parser,
 so a rename there would only fail the benchmark run.
 """
@@ -23,6 +25,7 @@ KNOWN_DEAD = {
     "quasi.in_ideal_part",
     "linsys.rref",
     "paths.count_families_bruteforce",
+    "quasi.largest_dividing_power",
 }
 
 
