@@ -134,29 +134,31 @@ def criterion_2():
     return ok, "9x9 matrix and 4 blocks exact"
 
 
-@_criterion("uniqueness sweep m <= 6", 30.0)
+@_criterion("uniqueness sweep m <= 16", 30.0)
 def criterion_3():
-    """ansatz_coefficients accepts both degrees for m <= 6; dets nonzero."""
-    details = []
-    for m in range(7):
+    """ansatz_coefficients (the block solve) accepts both degrees for
+    m <= 16; for m <= 6 its vector equals linsys.nullspace's and the
+    restricted determinant is nonzero."""
+    for m in range(17):
         for d in (3 * m + 1, 3 * m + 2):
             try:
-                basis.ansatz_coefficients(m, d)
+                _, vec = basis.ansatz_coefficients(m, d)
             except basis.DegenerateSystemError as exc:
                 return False, str(exc)
-            if m >= 1:
-                sys = linsys.build_system(m, d)
-                det = linsys.det_exact(linsys.restrict_Bm(sys).entries)
-                if det == 0:
-                    return False, f"det zero at (m={m}, d={d})"
-        details.append(str(m))
-    return True, f"unique ansatz for m in {{{','.join(details)}}}"
+            if m > 6:
+                continue
+            sys = linsys.build_system(m, d)
+            if linsys.nullspace(sys) != [vec]:
+                return False, f"nullspace oracle differs at (m={m}, d={d})"
+            if m >= 1 and linsys.det_exact(linsys.restrict_Bm(sys).entries) == 0:
+                return False, f"det zero at (m={m}, d={d})"
+    return True, "unique ansatz for m <= 16, equal to the nullspace oracle for m <= 6"
 
 
-@_criterion("quasiinvariance sweep m <= 6", 60.0)
+@_criterion("quasiinvariance sweep m <= 16", 60.0)
 def criterion_4():
-    """Quasiinvariance, s23-invariance, and degrees for m <= 6."""
-    for m in range(7):
+    """Quasiinvariance, s23-invariance, and degrees for m <= 16."""
+    for m in range(17):
         report = basis.build_basis(m, verify="quasi")
         if not report.degrees_ok:
             return False, f"degree mismatch at m={m}"
@@ -164,7 +166,7 @@ def criterion_4():
             return False, f"quasiinvariance failed at m={m}"
         if not report.s23_ok:
             return False, f"s23 invariance failed at m={m}"
-    return True, "all six elements verified for m <= 6"
+    return True, "all six elements verified for m <= 16"
 
 
 @_criterion("dimension series m=1..4", 60.0)

@@ -3,8 +3,11 @@
 For order m the basis is (1, A1, s12 A1, A2, s12 A2, Delta^(2m+1)) where
 A1, A2 are the degree 3m+1 and 3m+2 quasiinvariants assembled from the
 null vectors of the coefficient systems and Delta is the Vandermonde
-determinant.  ansatz_coefficients is the one place that refuses a system
-whose null space does not determine the ansatz.  build_basis returns a
+determinant.  ansatz_coefficients solves each system the paper's way,
+by back-substitution through the diagonal blocks of restrict_Bm, and is
+the one place that refuses a system that does not determine the ansatz;
+linsys.nullspace (Gauss-Jordan on the full system) is the oracle that
+selftest criterion 3 compares it with.  build_basis returns a
 report carrying every element, the raw null vectors, and the
 verification verdicts that were requested:
 
@@ -26,8 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .linsys import build_system, det_exact, nullspace
+from .linsys import _eliminate, build_system, det_exact
 from .poly import Polynomial, S12, S23, elementary, vandermonde_power
 from .quasi import (
     coinvariant_nf,
@@ -52,26 +57,63 @@ class DegenerateSystemError(RuntimeError):
 
 
 def ansatz_coefficients(m: int, d: int):
-    """Labels and normalized null vector of the degree-d system.
+    """Labels and normalized null vector of the degree-d system, solved
+    by block back-substitution on restrict_Bm.
+
+    C[m, m] = 1, and its column is the right-hand side.  The diagonal
+    blocks f = m+1 down to 1 (block f: rows k = f-1, the first min(f, m)
+    of them, and the columns from f(f-1)/2 on, the same in the full and
+    the restricted system) are each solved by one exact _eliminate of
+    the block beside its right-hand side, after subtracting the columns
+    already solved.  The coordinates are kept as integers over a common
+    denominator.  Every block having full rank makes the square
+    restricted matrix, block upper triangular, nonsingular: a null
+    vector with C[m, m] = 0 is 0, so the nullity is at most 1, and the
+    vector found, checked against every row of the full system, makes it
+    exactly 1.  m = 0 has no rows and gives (1,).
 
     The one refusal of a degenerate ansatz: raises DegenerateSystemError
-    unless the null space is exactly one dimensional with nonzero
-    leading ([0, 0]) coordinate.  linsys.nullspace only solves.
+    for a singular block, a nonzero entry left of a block in its rows, a
+    row of the full system the vector fails, or a zero leading ([0, 0])
+    coordinate.  No vector is returned in those cases.
     """
     sys = build_system(m, d)
-    vectors = nullspace(sys)
-    if len(vectors) != 1:
-        raise DegenerateSystemError(
-            f"null space of system (m={m}, d={d}) has dimension "
-            f"{len(vectors)}, expected 1"
-        )
-    vec = vectors[0]
-    if vec[0] != 1:
+    entries = sys.entries
+    x = [0] * (len(sys.cols) - 1) + [1]
+    for f in range(m + 1, 0, -1):
+        size, start, first = min(f, m), f * (f - 1) // 2, (f - 1) * m
+        augmented = []
+        for r in range(first, first + size):
+            row = entries[r]
+            if any(row[:start]):
+                raise DegenerateSystemError(
+                    f"row (k, l) = {sys.rows[r]} of system (m={m}, d={d}) "
+                    f"is nonzero left of diagonal block f={f}"
+                )
+            # x is still 0 left of the solved columns
+            augmented.append(row[start:start + size] + (-sum(map(mul, row, x)),))
+        rows, pivots = _eliminate(augmented, reduced=True)[:2]
+        if pivots != list(range(size)):
+            raise DegenerateSystemError(
+                f"diagonal block f={f} of system (m={m}, d={d}) is singular"
+            )
+        # row p of the reduced rows reads row[p] * x[start + p] = row[size]
+        scale = lcm(*[row[p] for p, row in enumerate(rows)])
+        if scale > 1:
+            x = [v * scale for v in x]
+        for p, row in enumerate(rows):
+            x[start + p] = row[size] * (scale // row[p])
+    for label, row in zip(sys.rows, entries):
+        if sum(map(mul, row, x)):
+            raise DegenerateSystemError(
+                f"null vector of system (m={m}, d={d}) fails row (k, l) = {label}"
+            )
+    if not x[0]:
         raise DegenerateSystemError(
             f"null vector of system (m={m}, d={d}) could not be normalized "
             "to leading coordinate 1"
         )
-    return sys.cols, vec
+    return sys.cols, tuple([Fraction(v, x[0]) for v in x])
 
 
 def assemble_ansatz(d: int, labels, vec) -> Polynomial:

@@ -20,7 +20,8 @@ Conventions, fixed once here and relied on everywhere else:
   restrict_Bm.
 
 * The exact solvers share one fraction-free integer elimination loop,
-  _eliminate.  nullspace_vectors clears every other row and reads each
+  _eliminate; basis.ansatz_coefficients also solves each diagonal block
+  with it.  nullspace_vectors clears every other row and reads each
   vector from the integer rows; det_exact and rank stop at echelon form,
   and det_exact forms one Fraction at the end from the diagonal and
   plain-int bookkeeping: the swap count, the gcds divided out, the pivot
@@ -46,12 +47,9 @@ def coeff_A(i: int, j: int, k: int, l: int, d: int) -> int:
 
     This is the coefficient of (x1 - x2)^l x2^(d-k-l) ... in the expansion of
     (1 - s12) applied to the ansatz term; only its closed binomial form is
-    needed here.
+    needed here.  Arguments are not checked: build_system, the one
+    caller, passes labels 0 <= j <= i, k, l >= 0 and a checked degree.
     """
-    if not (0 <= j <= i):
-        raise ValueError("need 0 <= j <= i")
-    if k < 0 or l < 0 or d < 1:
-        raise ValueError("need k >= 0, l >= 0, d >= 1")
     if i == j:
         return binom(i, k) * (binom(d - i - k, l) - binom(2 * i - k, l))
     return (
@@ -63,12 +61,12 @@ def coeff_A(i: int, j: int, k: int, l: int, d: int) -> int:
 
 def system_columns(m: int):
     """Ansatz labels [i, j], 0 <= j <= i <= m, lex ascending."""
-    return tuple((i, j) for i in range(m + 1) for j in range(i + 1))
+    return tuple([(i, j) for i in range(m + 1) for j in range(i + 1)])
 
 
 def system_rows(m: int):
     """Constraint labels (k, l): k ascending, odd l descending within k."""
-    return tuple((k, l) for k in range(m + 1) for l in range(2 * m - 1, 0, -2))
+    return tuple([(k, l) for k in range(m + 1) for l in range(2 * m - 1, 0, -2)])
 
 
 @dataclass(frozen=True)
@@ -101,8 +99,9 @@ def build_system(m: int, d: int) -> CoeffSystem:
     _check_order_degree(m, d)
     rows = system_rows(m)
     cols = system_columns(m)
+    # list comprehensions: at small m, tuple() of a generator is slower
     entries = tuple(
-        tuple(coeff_A(i, j, k, l, d) for (i, j) in cols) for (k, l) in rows
+        [tuple([coeff_A(i, j, k, l, d) for (i, j) in cols]) for (k, l) in rows]
     )
     return CoeffSystem(m=m, d=d, rows=rows, cols=cols, entries=entries)
 
@@ -193,13 +192,16 @@ def _eliminate(matrix, reduced: bool):
         scale, ints = integer_scaled(row)
         rows.append(ints)
         divisors.append(scale)
+    n = len(rows)
     pivots = []
     swaps = r = 0
     for c in range(len(rows[0]) if rows else 0):
-        if r == len(rows):
+        if r == n:
             break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, n):
+            if rows[pivot][c]:
+                break
+        else:
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
@@ -207,7 +209,7 @@ def _eliminate(matrix, reduced: bool):
         top = rows[r]
         pv = top[c]
         cleared = 0
-        for i in range(0 if reduced else r + 1, len(rows)):
+        for i in range(0 if reduced else r + 1, n):
             f = rows[i][c]
             if f and i != r:
                 row = [x * pv - f * y for x, y in zip(rows[i], top)]
@@ -263,12 +265,15 @@ def nullspace_vectors(matrix, ncols: int):
 
 
 def nullspace(sys: CoeffSystem):
-    """Null space basis of a coefficient system.
+    """Null space basis of a coefficient system, by Gauss-Jordan on the
+    whole matrix.
 
     Each vector has first nonzero coordinate 1 (nullspace_vectors), and
     column 0 is [0, 0] in every system build_system and restrict_Bm
-    make.  Only linear algebra happens here: basis.ansatz_coefficients
-    is the one place that refuses a null space which does not determine
-    the ansatz.
+    make.  This is the oracle: basis.ansatz_coefficients solves the
+    ansatz by block back-substitution instead, and selftest criterion 3
+    requires the two vectors to be equal for m <= 6.  Only linear
+    algebra happens here; ansatz_coefficients is the one place that
+    refuses a system which does not determine the ansatz.
     """
     return nullspace_vectors(sys.entries, len(sys.cols))

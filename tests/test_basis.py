@@ -1,8 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from quasi3 import acceptance, basis
+from quasi3 import acceptance, basis, linsys
 from quasi3.acceptance import GOLDEN_A1_M2, GOLDEN_A2_M2
 from quasi3.basis import (
     ELEMENT_NAMES,
@@ -15,7 +16,7 @@ from quasi3.basis import (
     is_scalar_multiple,
     poly_to_latex,
 )
-from quasi3.linsys import rank
+from quasi3.linsys import MAX_ORDER, build_system, rank
 from quasi3.poly import S12, S23, Polynomial, elementary, parse_poly
 from quasi3.quasi import is_quasiinvariant
 
@@ -176,38 +177,106 @@ def test_build_basis_rejects_bad_input():
         build_basis(1, verify="everything")
 
 
+def _patched_rows(edit):
+    """build_system with edit(m, rows) applied to a copy of its rows."""
+
+    def patched(m, d):
+        sys = build_system(m, d)
+        rows = [list(row) for row in sys.entries]
+        edit(m, rows)
+        return replace(sys, entries=tuple(map(tuple, rows)))
+
+    return patched
+
+
+def _zero_last_row(m, rows):
+    # row (m, 1) lies in the final diagonal block f = m+1
+    if rows:
+        rows[-1] = [0] * len(rows[-1])
+
+
+def _pin_leading_row(m, rows):
+    # row (0, 2m-1) is block f = 1 alone: it now forces C[0, 0] = 0
+    if rows:
+        rows[0] = [1] + [0] * (len(rows[0]) - 1)
+
+
+def _mark_left_of_final_block(m, rows):
+    # column [0, 0] lies left of the final block in row (m, 1)
+    if rows:
+        rows[-1][0] = 1
+
+
+def _perturb_unrestricted_row(m, rows):
+    # row (0, 2m-3) is outside restrict_Bm for m >= 2
+    if m >= 2:
+        rows[1][0] += 1
+
+
 @pytest.mark.parametrize(
-    "vectors, message",
+    "edit, m, d, message",
     [
         pytest.param(
-            [(1, 0, 0), (0, 1, 0)],
-            r"null space of system \(m=1, d=4\) has dimension 2, expected 1",
-            id="nullity-two",
+            _zero_last_row, 1, 4,
+            "diagonal block f=2 of system (m=1, d=4) is singular",
+            id="singular-block",
         ),
         pytest.param(
-            [(Fraction(0), Fraction(1), Fraction(0))],
-            r"null vector of system \(m=1, d=4\) could not be normalized",
+            _pin_leading_row, 1, 4,
+            "null vector of system (m=1, d=4) could not be normalized "
+            "to leading coordinate 1",
             id="zero-leading-coordinate",
+        ),
+        pytest.param(
+            _mark_left_of_final_block, 1, 4,
+            "row (k, l) = (1, 1) of system (m=1, d=4) is nonzero left of "
+            "diagonal block f=2",
+            id="nonzero-left-of-block",
+        ),
+        pytest.param(
+            _perturb_unrestricted_row, 2, 7,
+            "null vector of system (m=2, d=7) fails row (k, l) = (0, 1)",
+            id="failed-row",
         ),
     ],
 )
-def test_ansatz_coefficients_is_the_one_refusal(monkeypatch, vectors, message):
-    # (m, d) = (1, 4) has the three ansatz labels [0, 0], [1, 0], [1, 1]
-    monkeypatch.setattr(basis, "nullspace", lambda sys: vectors)
-    with pytest.raises(DegenerateSystemError, match=message):
-        ansatz_coefficients(1, 4)
-    # criterion 3 reads the same refusal, so it fails at its first system
-    with pytest.raises(DegenerateSystemError) as first:
-        ansatz_coefficients(0, 1)
+def test_ansatz_coefficients_is_the_one_refusal(monkeypatch, edit, m, d, message):
+    monkeypatch.setattr(basis, "build_system", _patched_rows(edit))
+    with pytest.raises(DegenerateSystemError) as refusal:
+        ansatz_coefficients(m, d)
+    assert str(refusal.value) == message
+    # (m, d) is the first system criterion 3 reaches that the edit breaks,
+    # so the criterion fails there with the same refusal
     result = acceptance.criterion_3()
     assert result.passed is False
-    assert result.detail == str(first.value)
+    assert result.detail == message
+
+
+def test_criterion_3_fails_when_the_nullspace_oracle_differs(monkeypatch):
+    exact = linsys.nullspace
+    monkeypatch.setattr(
+        linsys, "nullspace", lambda sys: [] if sys.m == 4 else exact(sys)
+    )
+    result = acceptance.criterion_3()
+    assert result.passed is False
+    assert result.detail == "nullspace oracle differs at (m=4, d=13)"
 
 
 def test_criterion_3_passes_unpatched():
     result = acceptance.criterion_3()
     assert result.passed is True
-    assert result.detail == "unique ansatz for m in {0,1,2,3,4,5,6}"
+    assert result.detail == (
+        "unique ansatz for m <= 16, equal to the nullspace oracle for m <= 6"
+    )
+
+
+def test_ansatz_coefficients_m0_and_max_order():
+    # m = 0 has no rows: the vector is C[0, 0] = 1 alone
+    assert ansatz_coefficients(0, 1) == (((0, 0),), (Fraction(1),))
+    for d in (3 * MAX_ORDER + 1, 3 * MAX_ORDER + 2):
+        labels, vec = ansatz_coefficients(MAX_ORDER, d)
+        assert len(labels) == len(vec) == (MAX_ORDER + 1) * (MAX_ORDER + 2) // 2
+        assert vec[0] == 1 and vec[-1] != 0
 
 
 def test_elements_are_quasiinvariant_m2():

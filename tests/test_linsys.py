@@ -329,12 +329,20 @@ def test_restricted_system_m1_golden():
 
 
 def test_extract_blocks_match_submatrices():
-    for m in range(1, 9):
+    # for every order: restrict_Bm is block upper triangular (0 left of
+    # each diagonal block, in that block's rows), which the block solve of
+    # basis.ansatz_coefficients relies on, and its diagonal blocks are the
+    # closed formulas
+    for m in range(1, MAX_ORDER + 1):
         for d in (3 * m + 1, 3 * m + 2):
+            sub = restrict_Bm(build_system(m, d))
+            for f in range(1, m + 2):
+                start = f * (f - 1) // 2
+                for row in sub.entries[start:start + min(f, m)]:
+                    assert not any(row[:start]), (m, d, f)
             closed = extract_blocks(m, d)
-            sliced = diagonal_blocks(restrict_Bm(build_system(m, d)))
             assert len(closed) == m + 1
-            assert closed == sliced
+            assert closed == diagonal_blocks(sub)
 
 
 def test_block_determinant_product_equals_full_determinant():
