@@ -217,9 +217,11 @@ def _perturb_unrestricted_row(m, rows):
     "edit, m, d, message",
     [
         pytest.param(
+            # the zeroed row leaves a two-dimensional null space, which
+            # the block route meets as a singular final block
             _zero_last_row, 1, 4,
             "diagonal block f=2 of system (m=1, d=4) is singular",
-            id="singular-block",
+            id="nullity-two",
         ),
         pytest.param(
             _pin_leading_row, 1, 4,
