@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import math
 import random
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from . import acceptance, basis, group_ops, linsys, paths, quasi
 from .arith import rational_to_str
@@ -25,20 +25,54 @@ from .poly import Polynomial, parse_poly
 OK, MATH_FAIL, USAGE = 0, 1, 2
 
 
+# json.dumps with indent encodes in pure Python; this writer makes the
+# same text, with strings escaped by json's C function.  Each value's
+# first part carries the separator and key before it: fewer parts keep
+# the writer's peak memory below json.dumps's
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _write_json(obj, out, lead, indent):
+    """Append lead + json.dumps(obj, indent=2, ensure_ascii=False) to out, in
+    parts; the text before each value rides in that value's first part."""
+    if isinstance(obj, str):
+        out.append(lead + encode_basestring(obj))
+    elif type(obj) is int:  # not bool; the encoder's own call is slow
+        out.append(lead + repr(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append(lead + "[]")
+            return
+        inner = indent + "  "
+        sep = lead + "[" + inner
+        for value in obj:
+            _write_json(value, out, sep, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append(lead + "{}")
+            return
+        inner = indent + "  "
+        sep = lead + "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = _encode_scalar(key)
+            _write_json(value, out, sep + encode_basestring(key) + ": ", inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        out.append(lead + _encode_scalar(obj))
+
+
 def _print_json(obj):
-    # With indent, json encodes through nested closures that form a
-    # reference cycle on every call.  Holding collection off while it runs
-    # keeps the cycle in the young generation, and one pass over that
-    # generation frees it at once, however long the output.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        text = json.dumps(obj, indent=2, ensure_ascii=False)
-    finally:
-        if enabled:
-            gc.enable()
-    gc.collect(0)
-    print(text)
+    out = []
+    _write_json(obj, out, "", "\n")
+    print("".join(out))
 
 
 def _str_rows(matrix):

@@ -50,6 +50,8 @@ def coeff_A(i: int, j: int, k: int, l: int, d: int) -> int:
     needed here.  Arguments are not checked: build_system, the one
     caller, passes labels 0 <= j <= i, k, l >= 0 and a checked degree.
     """
+    if k > i:  # binom(i, k) = binom(j, k) = 0, since j <= i
+        return 0
     if i == j:
         return binom(i, k) * (binom(d - i - k, l) - binom(2 * i - k, l))
     return (

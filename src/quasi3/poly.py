@@ -238,10 +238,8 @@ class Polynomial(Combination):
 
     def to_json_obj(self):
         """List of {"e": [a, b, c], "c": "num/den"} in canonical order."""
-        return [
-            {"e": list(exp), "c": rational_to_str(coeff)}
-            for exp, coeff in self.sorted_terms()
-        ]
+        # str of a Fraction is "num" or "num/den", as rational_to_str writes
+        return [{"e": list(exp), "c": str(coeff)} for exp, coeff in self.sorted_terms()]
 
     @classmethod
     def from_json_obj(cls, obj) -> "Polynomial":
@@ -249,25 +247,41 @@ class Polynomial(Combination):
             raise ValueError("polynomial JSON must be a list of terms")
         out = {}
         for item in obj:
-            if not isinstance(item, dict) or set(item) != {"e", "c"}:
-                raise ValueError(f"bad term object: {item!r}")
+            # the common case in exact type tests; _check_json_term raises
+            if not (type(item) is dict and item.keys() == _TERM_KEYS):
+                _check_json_term(item)
             e, c = item["e"], item["c"]
-            # JSON true/false load as bool, a subclass of int
             if not (
-                isinstance(e, list)
+                type(e) is list
                 and len(e) == 3
-                and all(type(k) is int for k in e)
-                and isinstance(c, str)
+                and type(e[0]) is type(e[1]) is type(e[2]) is int
+                and type(c) is str
             ):
-                raise ValueError(
-                    f'term needs three integers "e" and a string "c": {item!r}'
-                )
-            exp = tuple(e)  # the constructor checks it
+                _check_json_term(item)
+            exp = tuple(e)  # the constructor checks the signs
             coeff = rational_from_str(c)
             if exp in out:
                 raise ValueError(f"duplicate exponent {exp} in polynomial JSON")
             out[exp] = coeff
         return cls(out)
+
+
+_TERM_KEYS = frozenset(("e", "c"))
+
+
+def _check_json_term(item):
+    """Raise the error a bad JSON term object deserves; pass a good one."""
+    if not isinstance(item, dict) or set(item) != _TERM_KEYS:
+        raise ValueError(f"bad term object: {item!r}")
+    e, c = item["e"], item["c"]
+    # JSON true/false load as bool, a subclass of int
+    if not (
+        isinstance(e, list)
+        and len(e) == 3
+        and all(type(k) is int for k in e)
+        and isinstance(c, str)
+    ):
+        raise ValueError(f'term needs three integers "e" and a string "c": {item!r}')
 
 
 def elementary(k: int) -> Polynomial:
@@ -311,9 +325,14 @@ def vandermonde_power(p: int) -> Polynomial:
 #
 # Whitespace is ignored; '*' between factors is optional.
 
+# One anchored match reads a term: sign, numerator, denominator, the
+# factors x1, x2, x3 in that order (each a name group and an exponent
+# group), and last any further factors, which only repeated or
+# out-of-order factors such as x3*x1^2*x1 need.
 _TERM_RE = re.compile(
-    r"(?P<sign>[+-]?)(?:(?P<num>\d+)(?:/(?P<den>\d+))?)?"
-    r"(?P<factors>(?:\*?x[123](?:\^\d+)?)*)\Z"
+    r"([+-]?)(?:(\d+)(?:/(\d+))?)?"
+    r"(?:\*?(x1)(?:\^(\d+))?)?(?:\*?(x2)(?:\^(\d+))?)?(?:\*?(x3)(?:\^(\d+))?)?"
+    r"((?:\*?x[123](?:\^\d+)?)*)\Z"
 )
 _FACTOR_RE = re.compile(r"x([123])(?:\^(\d+))?")
 
@@ -329,18 +348,27 @@ def parse_poly(text: str) -> Polynomial:
     out = {}
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
-        if not m or not (m["num"] or m["factors"]):
+        if m is None:
             raise ValueError(f"bad term {chunk!r} in polynomial: {text!r}")
-        num, den, factors = m["num"], m["den"], m["factors"]
-        try:
-            coeff = Fraction(int(m["sign"] + (num or "1")), int(den or 1))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: '{num}/{den}'") from None
-        # _TERM_RE has matched every factor, so finditer reads them all
-        exp = [0, 0, 0]
-        for fm in _FACTOR_RE.finditer(factors):
-            exp[int(fm.group(1)) - 1] += int(fm.group(2) or 1)
-        key = tuple(exp)
+        # a chunk holds more than its sign, so a match has a number or a factor
+        sign, num, den, x1, e1, x2, e2, x3, e3, rest = m.groups()
+        if den is None:
+            coeff = int(sign + (num or "1"))  # the constructor makes the Fraction
+        else:
+            try:
+                coeff = Fraction(int(sign + num), int(den))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator: '{num}/{den}'") from None
+        key = (
+            int(e1) if e1 else 1 if x1 else 0,
+            int(e2) if e2 else 1 if x2 else 0,
+            int(e3) if e3 else 1 if x3 else 0,
+        )
+        if rest:
+            exp = list(key)
+            for fm in _FACTOR_RE.finditer(rest):
+                exp[int(fm.group(1)) - 1] += int(fm.group(2) or 1)
+            key = tuple(exp)
         out[key] = out[key] + coeff if key in out else coeff
     return Polynomial(out)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import quasi3
-from quasi3 import acceptance, basis, group_ops
+from quasi3 import acceptance, basis, cli, group_ops
 from quasi3.cli import build_parser, main
 from quasi3.linsys import extract_blocks
 from quasi3.poly import Polynomial, parse_poly
@@ -317,7 +317,7 @@ def test_parser_is_built_once(capsys):
 
 
 def test_json_output_leaves_no_cyclic_garbage(capsys):
-    # json's indented encoder is a cycle of closures, freed before print
+    # the indented JSON writer makes no closures, so it leaves no cycle
     argv = ["basis", "--m", "1", "--format", "json"]
     assert main(argv) == 0
     gc.collect()
@@ -332,8 +332,8 @@ def test_json_output_leaves_no_cyclic_garbage(capsys):
 
 
 def test_json_cycle_stays_young_while_collections_run(capsys):
-    # collections during encoding would promote a live cycle past the
-    # young generation that _print_json collects
+    # collections while the JSON is written find no cycle to keep alive
+    # past the young generation: the writer makes none
     argv = ["basis", "--m", "1", "--format", "json"]
     assert main(argv) == 0
     threshold = gc.get_threshold()
@@ -366,187 +366,222 @@ def test_argparse_rejects_bad_options(capsys, argv):
 
 # Exit code and stdout sha256 of outputs pinned byte for byte; "{poly}"
 # stands for a file holding GOLDEN_A1_M1.
-@pytest.mark.parametrize(
-    "argv, code, digest",
-    [
-        pytest.param(
-            "identity sweep --seed 7 --trials 25", 0,
-            "2c22ad18c8dce85f357a4ab49c6680ecc5a0fbda9d1afee7874ad9c8c1ca03fc",
-            id="sweep-seed7",
-        ),
-        pytest.param(
-            "identity thm1 --params 10,-1,7,-1,-2,2", 0,
-            "bab97561b94f5b43e7705401d343288025d1ce5212f9069c213951468761e9b4",
-            id="thm1-block-text",
-        ),
-        pytest.param(
-            "identity thm1 --params 10,-1,7,-1,-2,2 --format json", 0,
-            "1187b9715d9993da1d75437301c612d812c621c8ec34f8ba52043e7d22ca21af",
-            id="thm1-block-json",
-        ),
-        pytest.param(
-            "identity thm1 --params 3,2,1,1,-1,2 --format json", 0,
-            "524ddbfa7aaadf8496c81c332d0ce9be6a10f9f8afa85087ebb4261fc9485012",
-            id="thm1-json",
-        ),
-        pytest.param(
-            "identity thm2 --params 4,1,1,1,6,2", 0,
-            "1ae522a264e9cbf99611359216cd0f92371a62c1f91554d16fc004d2b9e3d422",
-            id="thm2-text",
-        ),
-        pytest.param(
-            "identity thm2 --params 5,1,1,1,4,1 --format json", 1,
-            "840df498d8d93cbfa7ef6831a10375095d9b56bff97c0b30df75d35023d70b01",
-            id="thm2-mismatch-json",
-        ),
-        pytest.param(
-            "system --m 3 --d 10 --restrict-bm --blocks", 0,
-            "f3d369e0a24c9e94493621b1f4ad27993cc7bea1b64c65257886a1954cd3ff93",
-            id="system-blocks-text",
-        ),
-        pytest.param(
-            "system --m 3 --d 10 --restrict-bm --blocks --format json", 0,
-            "142d3bd484a4f6b1be513efc3a8032fdb27166a5ea1397def02aae14ed1a69f0",
-            id="system-blocks-json",
-        ),
-        pytest.param(
-            "blocks --m 3 --d 10", 0,
-            "d7391a0decd1761fcd4edaf363b82f507b89023247f0a8ff884f97b4896758a7",
-            id="blocks-text",
-        ),
-        pytest.param(
-            "blocks --m 3 --d 11 --format json", 0,
-            "4506d215e0b3e17e805e5ef4435e66cafbc75b3edc8ed14bdffba11d8315cb10",
-            id="blocks-json",
-        ),
-        pytest.param(
-            "det --m 3 --d 10", 0,
-            "d2dcfaa773e97c01d85016c33987ea5ec375d64c8135d79344780b4a4c0db9af",
-            id="det-text",
-        ),
-        pytest.param(
-            "check --m 1 --poly {poly} --format json", 0,
-            "224ba9ccf67ab1311b710d8e77b1799f2df7717d1b3bac8725fb19865ec86ea8",
-            id="check-m1-json",
-        ),
-        pytest.param(
-            "check --m 2 --poly {poly} --format json", 1,
-            "a11fde7376cb59d3ac9f34ad5ef0e4ae6a46375b53308f396c3350437d40b835",
-            id="check-m2-json",
-        ),
-        pytest.param(
-            "blocks --m 1 --d 4", 0,
-            "b0a3fbee487d6e94d736e54f3997cbcbefbaca327c87e0d0dbecce1bc1fac783",
-            id="blocks-m1-text",
-        ),
-        pytest.param(
-            "blocks --m 5 --d 17 --format json", 0,
-            "0927176dc262c4e54c3434682967dbf3f5722c3733f87003e16422d8b9b39024",
-            id="blocks-m5-json",
-        ),
-        pytest.param(
-            "system --m 4 --d 14 --restrict-bm --blocks --format json", 0,
-            "fc8c8c6a4738ae1483e602b43d9b9881beb8465e63e08441a00b0476be3d09f5",
-            id="system-blocks-m4-json",
-        ),
-        pytest.param(
-            "dims --m 2 --max-degree 14 --format json", 0,
-            "9251b329cf2b5895276c3c123fdc80ce67872d0423137f91b37409a14ce41849",
-            id="dims-m2-json",
-        ),
-        pytest.param(
-            "basis --m 0 --verify full", 0,
-            "acdf6d6a35121b236fbf7126e3c98020195dbdddd4088836b2669ab33646aad1",
-            id="basis-m0-full-text",
-        ),
-        pytest.param(
-            "basis --m 2 --verify full --format json", 0,
-            "d23a0c5db0e76f5674e7936fb700d69abaa25c571efe4894827c57cf7bedd17d",
-            id="basis-m2-full-json",
-        ),
-        pytest.param(
-            "basis --m 3 --verify full", 0,
-            "3c07f6d3b60b51a24428f94684d3658c5e6df51fd83d209102856d6b66228fc8",
-            id="basis-m3-full-text",
-        ),
-        pytest.param(
-            "identity thm2 --params=-5,1,1,1,6,2 --format json", 0,
-            "5a4b5e8b81cad5b4c3324c4a77e7067313cb77c9db37cc43980325dbe548f361",
-            id="thm2-unusable-endpoints-json",
-        ),
-        pytest.param(
-            "identity thm2 --params 29,1,9,1,100,1", 0,
-            "f123eb66c9ea7cbad760b64b270fcc419ed6c86558ff35f4b98d9dfd8f8cfdb7",
-            id="thm2-over-budget-text",
-        ),
-        pytest.param(
-            "identity thm1 --params 10,-1,7,-1,2,2 --format json", 0,
-            "c3a3afd6c1c39af0d803744d1be709edd7fafccd8ed8bc8590b04a1c36f5c423",
-            id="thm1-unusable-endpoints-json",
-        ),
-        pytest.param(
-            "identity thm1 --params 19,-1,13,-1,-2,6 --format json", 0,
-            "465d56895feb04ba4f77ce4a4f665f3dac17d34262b1e07481344b28dd1ea8ce",
-            id="thm1-over-budget-json",
-        ),
-        pytest.param(
-            "blocks --m 2 --d 7", 0,
-            "00ec872b4fd5061d85d0a8c71e4efdef70f0e16a41cf0487b023bc2298de38a5",
-            id="blocks-m2-text",
-        ),
-        pytest.param(
-            "det --m 4 --d 13 --format json", 0,
-            "8a3e6ad44aba24d5c74743f1a830d4ec0e23ca94f7d3c691d9b73b152b4f07c7",
-            id="det-m4-json",
-        ),
-        pytest.param(
-            "paths count --start 2,2 --end 0,6 --barrier 9", 0,
-            "f207dbe8ae92941fdc0e13ebfba1370203c104468adfdf83f03f3041713b257e",
-            id="paths-count-text",
-        ),
-        pytest.param(
-            "paths count --start 3,1 --end 0,6 --barrier 4 --format json", 0,
-            "3cde6f7cb27c5217dccb6dc6b54f9411a163ba11c0686b78e741cb14d54fb1c9",
-            id="paths-count-json",
-        ),
-        pytest.param(
-            "identities --samples 100 --seed 1234", 0,
-            "42bc70e52f5551485f0b720ff8dbaf19cb59a2e27fb456fac7184c502ebb76fe",
-            id="identities-text",
-        ),
-        pytest.param(
-            "identities --samples 20 --seed 7 --format json", 0,
-            "3ab1975aa1c88413afcc9506e55c98d613b725599b21efffdbded70f597ce538",
-            id="identities-json",
-        ),
-        pytest.param(
-            "system --m 0 --d 1", 0,
-            "c39a1822e7cb84a11e5d21c3b93ccf573c6e4eb6fc47ac61055c231db4e63b2c",
-            id="system-no-rows-text",
-        ),
-        pytest.param(
-            "system --m 2 --d 7", 0,
-            "b7d3c2650db3b040d6f35225a7428a2018760f9854c3207c4c8366f0fb64e2ee",
-            id="system-m2-text",
-        ),
-        pytest.param(
-            "basis --m 3 --format latex", 0,
-            "58aa5cae200220ae1b0fd88ce73a077999ac3e84d876f3c7f4901f2431b06536",
-            id="basis-m3-latex",
-        ),
-        pytest.param(
-            "check --m 1 --poly {poly}", 0,
-            "4e101399eea83145d42dbbe91a12315e7b7bb0975cdd863c16d38a01233be48a",
-            id="check-m1-text",
-        ),
-    ],
-)
+STDOUT_GOLDEN = [
+    pytest.param(
+        "identity sweep --seed 7 --trials 25", 0,
+        "2c22ad18c8dce85f357a4ab49c6680ecc5a0fbda9d1afee7874ad9c8c1ca03fc",
+        id="sweep-seed7",
+    ),
+    pytest.param(
+        "identity thm1 --params 10,-1,7,-1,-2,2", 0,
+        "bab97561b94f5b43e7705401d343288025d1ce5212f9069c213951468761e9b4",
+        id="thm1-block-text",
+    ),
+    pytest.param(
+        "identity thm1 --params 10,-1,7,-1,-2,2 --format json", 0,
+        "1187b9715d9993da1d75437301c612d812c621c8ec34f8ba52043e7d22ca21af",
+        id="thm1-block-json",
+    ),
+    pytest.param(
+        "identity thm1 --params 3,2,1,1,-1,2 --format json", 0,
+        "524ddbfa7aaadf8496c81c332d0ce9be6a10f9f8afa85087ebb4261fc9485012",
+        id="thm1-json",
+    ),
+    pytest.param(
+        "identity thm2 --params 4,1,1,1,6,2", 0,
+        "1ae522a264e9cbf99611359216cd0f92371a62c1f91554d16fc004d2b9e3d422",
+        id="thm2-text",
+    ),
+    pytest.param(
+        "identity thm2 --params 5,1,1,1,4,1 --format json", 1,
+        "840df498d8d93cbfa7ef6831a10375095d9b56bff97c0b30df75d35023d70b01",
+        id="thm2-mismatch-json",
+    ),
+    pytest.param(
+        "system --m 3 --d 10 --restrict-bm --blocks", 0,
+        "f3d369e0a24c9e94493621b1f4ad27993cc7bea1b64c65257886a1954cd3ff93",
+        id="system-blocks-text",
+    ),
+    pytest.param(
+        "system --m 3 --d 10 --restrict-bm --blocks --format json", 0,
+        "142d3bd484a4f6b1be513efc3a8032fdb27166a5ea1397def02aae14ed1a69f0",
+        id="system-blocks-json",
+    ),
+    pytest.param(
+        "blocks --m 3 --d 10", 0,
+        "d7391a0decd1761fcd4edaf363b82f507b89023247f0a8ff884f97b4896758a7",
+        id="blocks-text",
+    ),
+    pytest.param(
+        "blocks --m 3 --d 11 --format json", 0,
+        "4506d215e0b3e17e805e5ef4435e66cafbc75b3edc8ed14bdffba11d8315cb10",
+        id="blocks-json",
+    ),
+    pytest.param(
+        "det --m 3 --d 10", 0,
+        "d2dcfaa773e97c01d85016c33987ea5ec375d64c8135d79344780b4a4c0db9af",
+        id="det-text",
+    ),
+    pytest.param(
+        "check --m 1 --poly {poly} --format json", 0,
+        "224ba9ccf67ab1311b710d8e77b1799f2df7717d1b3bac8725fb19865ec86ea8",
+        id="check-m1-json",
+    ),
+    pytest.param(
+        "check --m 2 --poly {poly} --format json", 1,
+        "a11fde7376cb59d3ac9f34ad5ef0e4ae6a46375b53308f396c3350437d40b835",
+        id="check-m2-json",
+    ),
+    pytest.param(
+        "blocks --m 1 --d 4", 0,
+        "b0a3fbee487d6e94d736e54f3997cbcbefbaca327c87e0d0dbecce1bc1fac783",
+        id="blocks-m1-text",
+    ),
+    pytest.param(
+        "blocks --m 5 --d 17 --format json", 0,
+        "0927176dc262c4e54c3434682967dbf3f5722c3733f87003e16422d8b9b39024",
+        id="blocks-m5-json",
+    ),
+    pytest.param(
+        "system --m 4 --d 14 --restrict-bm --blocks --format json", 0,
+        "fc8c8c6a4738ae1483e602b43d9b9881beb8465e63e08441a00b0476be3d09f5",
+        id="system-blocks-m4-json",
+    ),
+    pytest.param(
+        "dims --m 2 --max-degree 14 --format json", 0,
+        "9251b329cf2b5895276c3c123fdc80ce67872d0423137f91b37409a14ce41849",
+        id="dims-m2-json",
+    ),
+    pytest.param(
+        "basis --m 0 --verify full", 0,
+        "acdf6d6a35121b236fbf7126e3c98020195dbdddd4088836b2669ab33646aad1",
+        id="basis-m0-full-text",
+    ),
+    pytest.param(
+        "basis --m 2 --verify full --format json", 0,
+        "d23a0c5db0e76f5674e7936fb700d69abaa25c571efe4894827c57cf7bedd17d",
+        id="basis-m2-full-json",
+    ),
+    pytest.param(
+        "basis --m 3 --verify full", 0,
+        "3c07f6d3b60b51a24428f94684d3658c5e6df51fd83d209102856d6b66228fc8",
+        id="basis-m3-full-text",
+    ),
+    pytest.param(
+        "identity thm2 --params=-5,1,1,1,6,2 --format json", 0,
+        "5a4b5e8b81cad5b4c3324c4a77e7067313cb77c9db37cc43980325dbe548f361",
+        id="thm2-unusable-endpoints-json",
+    ),
+    pytest.param(
+        "identity thm2 --params 29,1,9,1,100,1", 0,
+        "f123eb66c9ea7cbad760b64b270fcc419ed6c86558ff35f4b98d9dfd8f8cfdb7",
+        id="thm2-over-budget-text",
+    ),
+    pytest.param(
+        "identity thm1 --params 10,-1,7,-1,2,2 --format json", 0,
+        "c3a3afd6c1c39af0d803744d1be709edd7fafccd8ed8bc8590b04a1c36f5c423",
+        id="thm1-unusable-endpoints-json",
+    ),
+    pytest.param(
+        "identity thm1 --params 19,-1,13,-1,-2,6 --format json", 0,
+        "465d56895feb04ba4f77ce4a4f665f3dac17d34262b1e07481344b28dd1ea8ce",
+        id="thm1-over-budget-json",
+    ),
+    pytest.param(
+        "blocks --m 2 --d 7", 0,
+        "00ec872b4fd5061d85d0a8c71e4efdef70f0e16a41cf0487b023bc2298de38a5",
+        id="blocks-m2-text",
+    ),
+    pytest.param(
+        "det --m 4 --d 13 --format json", 0,
+        "8a3e6ad44aba24d5c74743f1a830d4ec0e23ca94f7d3c691d9b73b152b4f07c7",
+        id="det-m4-json",
+    ),
+    pytest.param(
+        "paths count --start 2,2 --end 0,6 --barrier 9", 0,
+        "f207dbe8ae92941fdc0e13ebfba1370203c104468adfdf83f03f3041713b257e",
+        id="paths-count-text",
+    ),
+    pytest.param(
+        "paths count --start 3,1 --end 0,6 --barrier 4 --format json", 0,
+        "3cde6f7cb27c5217dccb6dc6b54f9411a163ba11c0686b78e741cb14d54fb1c9",
+        id="paths-count-json",
+    ),
+    pytest.param(
+        "identities --samples 100 --seed 1234", 0,
+        "42bc70e52f5551485f0b720ff8dbaf19cb59a2e27fb456fac7184c502ebb76fe",
+        id="identities-text",
+    ),
+    pytest.param(
+        "identities --samples 20 --seed 7 --format json", 0,
+        "3ab1975aa1c88413afcc9506e55c98d613b725599b21efffdbded70f597ce538",
+        id="identities-json",
+    ),
+    pytest.param(
+        "system --m 0 --d 1", 0,
+        "c39a1822e7cb84a11e5d21c3b93ccf573c6e4eb6fc47ac61055c231db4e63b2c",
+        id="system-no-rows-text",
+    ),
+    pytest.param(
+        "system --m 2 --d 7", 0,
+        "b7d3c2650db3b040d6f35225a7428a2018760f9854c3207c4c8366f0fb64e2ee",
+        id="system-m2-text",
+    ),
+    pytest.param(
+        "basis --m 3 --format latex", 0,
+        "58aa5cae200220ae1b0fd88ce73a077999ac3e84d876f3c7f4901f2431b06536",
+        id="basis-m3-latex",
+    ),
+    pytest.param(
+        "check --m 1 --poly {poly}", 0,
+        "4e101399eea83145d42dbbe91a12315e7b7bb0975cdd863c16d38a01233be48a",
+        id="check-m1-text",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", STDOUT_GOLDEN)
 def test_stdout_golden(capsys, tmp_path, argv, code, digest):
     poly = tmp_path / "a1.txt"
     poly.write_text(GOLDEN_A1_M1)
     got, out, _ = run_cli(capsys, *argv.format(poly=poly).split())
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+JSON_EDGE_CASES = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": [{}, [[]]]},
+    [[], {}, ()],
+    (1, (2, (3,)), [4]),
+    [True, False, None],
+    {"flag": True, "off": False, "none": None},
+    {2: "int key", 2.5: [], False: {}, None: 0},
+    [2**64, -(2**64) - 1, 3**100, 0, -1],
+    ["é", "雪☃", "\U0001f600"],
+    ['say "hi"', "back\\slash", "\x00\x01\x1f\x7f", "tab\tnew\nline\r", "/"],
+    {'k"ey\\': ["\b\f"], "ü": {"é": "ß"}},
+    [1.5, -0.0, 1e300, float("inf"), float("nan")],
+]
+
+
+def test_print_json_matches_json_dumps(capsys, tmp_path, monkeypatch):
+    seen = []
+    print_json = cli._print_json
+    monkeypatch.setattr(cli, "_print_json", seen.append)
+    poly = tmp_path / "a1.txt"
+    poly.write_text(GOLDEN_A1_M1)
+    for case in STDOUT_GOLDEN:
+        main(case.values[0].format(poly=poly).split())
+    main(["selftest", "--only", "6", "--format", "json"])
+    # every --format json request writes through _print_json (the sweep does too)
+    assert len(seen) > sum("json" in case.values[0] for case in STDOUT_GOLDEN)
+    capsys.readouterr()
+    for obj in seen + JSON_EDGE_CASES:
+        print_json(obj)
+        assert capsys.readouterr().out == json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
 def test_identities_json(capsys):

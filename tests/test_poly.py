@@ -1,4 +1,6 @@
 import random
+import re
+from collections import OrderedDict
 from fractions import Fraction
 from math import gcd
 
@@ -283,6 +285,50 @@ def test_json_rejects_malformed_term(term):
         Polynomial.from_json_obj([term])
 
 
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        pytest.param(
+            {"e": [True, 0, 0], "c": "1"},
+            "term needs three integers \"e\" and a string \"c\": {'e': [True, 0, 0], 'c': '1'}",
+            id="true-exponent",
+        ),
+        pytest.param(
+            {"e": [1, 0], "c": "1"},
+            "term needs three integers \"e\" and a string \"c\": {'e': [1, 0], 'c': '1'}",
+            id="two-element-e",
+        ),
+        pytest.param(
+            {"e": [1, 0, 0], "c": "1", "x": 0},
+            "bad term object: {'e': [1, 0, 0], 'c': '1', 'x': 0}",
+            id="extra-key",
+        ),
+        pytest.param([1, 0, 0], "bad term object: [1, 0, 0]", id="non-dict-item"),
+        pytest.param(
+            {"e": [1, 0, 0], "c": 1},
+            "term needs three integers \"e\" and a string \"c\": {'e': [1, 0, 0], 'c': 1}",
+            id="int-c",
+        ),
+    ],
+)
+def test_json_error_texts(item, message):
+    with pytest.raises(ValueError) as exc:
+        Polynomial.from_json_obj([{"e": [0, 0, 0], "c": "2"}, item])
+    assert str(exc.value) == message
+
+
+def test_json_duplicate_exponent_text():
+    obj = [{"e": [1, 0, 0], "c": "1"}, {"e": [1, 0, 0], "c": "2"}]
+    with pytest.raises(ValueError) as exc:
+        Polynomial.from_json_obj(obj)
+    assert str(exc.value) == "duplicate exponent (1, 0, 0) in polynomial JSON"
+
+
+def test_json_accepts_dict_and_list_subclasses():
+    item = OrderedDict([("c", "-1/2"), ("e", type("Row", (list,), {})([0, 2, 1]))])
+    assert Polynomial.from_json_obj([item]) == Fraction(-1, 2) * x2**2 * x3
+
+
 def test_json_rejects_negative_exponent():
     with pytest.raises(ValueError, match=r"^bad exponent triple: \(-1, 0, 0\)$"):
         Polynomial.from_json_obj([{"e": [-1, 0, 0], "c": "1"}])
@@ -291,3 +337,86 @@ def test_json_rejects_negative_exponent():
 def test_str_is_parseable():
     p = x1**2 - Fraction(5, 3) * x2 * x3 + Polynomial.constant(1)
     assert parse_poly(str(p)) == p
+
+
+# --- the term-by-term parser, kept as an oracle ------------------------------
+
+_ORACLE_TERM_RE = re.compile(
+    r"(?P<sign>[+-]?)(?:(?P<num>\d+)(?:/(?P<den>\d+))?)?"
+    r"(?P<factors>(?:\*?x[123](?:\^\d+)?)*)\Z"
+)
+_ORACLE_FACTOR_RE = re.compile(r"x([123])(?:\^(\d+))?")
+
+
+def oracle_parse_poly(text: str) -> Polynomial:
+    """parse_poly as it read terms before its one-match-per-term form:
+    a named-group match per term, then a finditer over its factors."""
+    compact = "".join(text.split())
+    if not compact:
+        raise ValueError("empty polynomial expression")
+    chunks = re.findall(r"[+-]?[^+-]+", compact)
+    if "".join(chunks) != compact:
+        raise ValueError(f"cannot tokenize polynomial: {text!r}")
+    out = {}
+    for chunk in chunks:
+        m = _ORACLE_TERM_RE.match(chunk)
+        if not m or not (m["num"] or m["factors"]):
+            raise ValueError(f"bad term {chunk!r} in polynomial: {text!r}")
+        num, den, factors = m["num"], m["den"], m["factors"]
+        try:
+            coeff = Fraction(int(m["sign"] + (num or "1")), int(den or 1))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: '{num}/{den}'") from None
+        exp = [0, 0, 0]
+        for fm in _ORACLE_FACTOR_RE.finditer(factors):
+            exp[int(fm.group(1)) - 1] += int(fm.group(2) or 1)
+        key = tuple(exp)
+        out[key] = out[key] + coeff if key in out else coeff
+    return Polynomial(out)
+
+
+def parse_outcome(parse, text):
+    """The polynomial parse makes of text, or the text of its ValueError."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x3*x1^2*x1",
+        "x2x1",
+        "*x1",
+        "x1^0",
+        "-x1",
+        "2 x1 x2",
+        "3/0*x1",
+        "x1^2*x2^3*x3^4",
+        "-3/4x1x2^0*x3^10 + x2*x2 - 5",
+        "x1^",
+        "x15",
+        "2*",
+        "+",
+        "x1++x2",
+        "1/0 + 1//2",
+        "0/0",
+        "x4",
+        " ",
+    ],
+)
+def test_parse_matches_oracle_on_fixed_inputs(text):
+    assert parse_outcome(parse_poly, text) == parse_outcome(oracle_parse_poly, text)
+
+
+def test_parse_matches_oracle_on_random_strings():
+    tokens = ["x1", "x2", "x3", "x4", "^", "^0", "0", "2", "10", "/", "/0", "*", "+", "-", " "]
+    rng = random.Random(25)
+    accepted = 0
+    for _ in range(12_000):
+        text = "".join(rng.choices(tokens, k=rng.randint(1, 9)))
+        got = parse_outcome(parse_poly, text)
+        assert got == parse_outcome(oracle_parse_poly, text), text
+        accepted += isinstance(got, Polynomial)
+    assert accepted > 1000  # both branches are exercised
