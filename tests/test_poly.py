@@ -334,6 +334,80 @@ def test_json_rejects_negative_exponent():
         Polynomial.from_json_obj([{"e": [-1, 0, 0], "c": "1"}])
 
 
+def json_coefficient(text):
+    """The constant polynomial from_json_obj reads from one "c" text."""
+    return Polynomial.from_json_obj([{"e": [0, 0, 0], "c": text}])
+
+
+def test_json_coefficient_texts_accepted():
+    assert json_coefficient(" \t3/4\n ") == Polynomial.constant(Fraction(3, 4))
+    assert json_coefficient("+6") == Polynomial.constant(6)
+    assert json_coefficient("4/8") == Polynomial.constant(Fraction(1, 2))
+    assert json_coefficient("-0/5").is_zero()
+    assert json_coefficient("007/014") == Polynomial.constant(Fraction(1, 2))
+    big = "12345678901234567890/3"
+    assert json_coefficient(big) == Polynomial.constant(Fraction(big))
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0", "1.5", "1e3", "inf", "", " ", "a/b", "1/2/3", "2 /3", "1/-2", "0x10"]
+)
+def test_json_coefficient_texts_rejected(text):
+    with pytest.raises(ValueError) as exc:
+        json_coefficient(text)
+    assert str(exc.value) == f"not an exact rational: {text.strip()!r}"
+
+
+@pytest.mark.parametrize("text", ["1/0", "-7/00", " +3/0 "])
+def test_json_zero_denominator_text(text):
+    with pytest.raises(ValueError) as exc:
+        json_coefficient(text)
+    assert str(exc.value) == f"zero denominator: {text.strip()!r}"
+
+
+def test_text_zero_denominator_names_the_digits():
+    with pytest.raises(ValueError) as exc:
+        parse_poly("x1 - 2/1 - 7/00*x2 + y")
+    assert str(exc.value) == "zero denominator: '7/00'"
+
+
+def test_bool_exponents_rejected_by_every_reader():
+    with pytest.raises(ValueError, match="^bad exponent triple"):
+        Polynomial({(0, False, 1): 1})
+    with pytest.raises(ValueError, match='^term needs three integers "e"'):
+        Polynomial.from_json_obj([{"e": [0, 1, False], "c": "1"}])
+
+
+def test_json_error_order():
+    """A term's own errors first, in list order; its coefficient before the
+    duplicate test; negative exponents last, and only on nonzero terms."""
+    def message(obj):
+        with pytest.raises(ValueError) as exc:
+            Polynomial.from_json_obj(obj)
+        return str(exc.value)
+
+    one, bad_c = {"e": [1, 0, 0], "c": "1"}, {"e": [1, 0, 0], "c": "x"}
+    assert message([one, bad_c]) == "not an exact rational: 'x'"
+    zero = {"e": [1, 0, 0], "c": "0"}
+    assert message([zero, one]) == "duplicate exponent (1, 0, 0) in polynomial JSON"
+    negative = {"e": [0, -2, 0], "c": "-1/2"}
+    assert message([negative, bad_c]) == "not an exact rational: 'x'"
+    assert message([negative, one, zero]) == "duplicate exponent (1, 0, 0) in polynomial JSON"
+    assert message([one, negative]) == "bad exponent triple: (0, -2, 0)"
+    # the terms cancel nowhere, so the first negative nonzero term is named
+    later = {"e": [-3, 0, 0], "c": "5"}
+    assert message([negative, later]) == "bad exponent triple: (0, -2, 0)"
+    # a zero term is dropped before its exponent is checked
+    assert Polynomial.from_json_obj([{"e": [-1, 0, 0], "c": "0/3"}]).is_zero()
+
+
+def test_text_repeated_terms_cancel_to_zero():
+    assert parse_poly("x1 + 1/2 x1 - 3/2*x1").is_zero()
+    assert parse_poly("2/4x1x2 - 1/2*x2x1 + 3 - 3").is_zero()
+    assert parse_poly("1/3 - 1/3 + 2/6*x3") == Fraction(1, 3) * x3
+    assert parse_poly("x1^2 - x1*x1 + 4/8") == Polynomial.constant(Fraction(1, 2))
+
+
 def test_str_is_parseable():
     p = x1**2 - Fraction(5, 3) * x2 * x3 + Polynomial.constant(1)
     assert parse_poly(str(p)) == p
