@@ -4,17 +4,14 @@ Python integers are arbitrary precision and fractions.Fraction is always
 stored in lowest terms with a positive denominator, so the two built-in
 types serve directly as the exact integer and rational scalars.  What this
 module adds is the binomial-coefficient convention used throughout the
-difference formulas, integer scaling, and strict string serialization
-for rationals.
+difference formulas, integer scaling, and the string form of a rational;
+poly's readers parse coefficient text into int numerators themselves.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import comb, lcm
-
-_RAT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
 
 def binom(n: int, k: int) -> int:
@@ -40,17 +37,3 @@ def integer_scaled(values):
 def rational_to_str(value) -> str:
     """Render an exact rational as "num" or "num/den" with den > 0."""
     return str(Fraction(value))
-
-
-def rational_from_str(text: str) -> Fraction:
-    """Parse "num" or "num/den".  Rejects anything else, including floats."""
-    text = text.strip()
-    match = _RAT_RE.match(text)
-    if not match:
-        raise ValueError(f"not an exact rational: {text!r}")
-    # two ints skip Fraction's own string parsing
-    num, den = match.groups()
-    try:
-        return Fraction(int(num), int(den or 1))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None

@@ -32,6 +32,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
+from .arith import integer_scaled
 from .linsys import _eliminate, build_system, det_exact
 from .poly import Polynomial, S12, S23, elementary, vandermonde_power
 from .quasi import (
@@ -119,23 +120,21 @@ def ansatz_coefficients(m: int, d: int):
 def assemble_ansatz(d: int, labels, vec) -> Polynomial:
     """Sum of C_[i,j] x1^(d-i-j) m_[i,j](x2, x3), m_[i,j] = x2^i x3^j +
     x2^j x3^i (one term when i == j)."""
+    den, nums = integer_scaled(vec)
     terms = {}
-    for (i, j), coeff in zip(labels, vec):
-        terms[(d - i - j, i, j)] = terms[(d - i - j, j, i)] = coeff
-    return Polynomial(terms)
+    for (i, j), num in zip(labels, nums):
+        terms[(d - i - j, i, j)] = terms[(d - i - j, j, i)] = num
+    return Polynomial._reduced(den, terms)
 
 
 def is_scalar_multiple(P: Polynomial, Q: Polynomial) -> bool:
     """True when P == c Q for some rational c (including c == 0)."""
-    if P.is_zero():
-        return True
-    if Q.is_zero():
-        return False
-    if set(P.terms) != set(Q.terms):
-        return False
-    exp = next(iter(Q.terms))
-    c = P.terms[exp] / Q.terms[exp]
-    return all(P.terms[e] == c * Q.terms[e] for e in Q.terms)
+    if P.is_zero() or Q.is_zero() or P.nums.keys() != Q.nums.keys():
+        return P.is_zero()
+    # P = c Q, c = (p / P.den) / (q / Q.den): cross-multiplied, the dens cancel
+    exp = next(iter(Q.nums))
+    p, q = P.nums[exp], Q.nums[exp]
+    return all(num * q == p * Q.nums[e] for e, num in P.nums.items())
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """The group algebra of S3 acting on polynomials.
 
 Elements are formal rational combinations of the six permutations: a
-poly.Combination keyed by permutation, so sums, scaling, equality and
-hashing are the ones Polynomial uses.  The product is convolution,
-matching operator composition on polynomials: (g * h)(P) = g(h(P)).
+poly.Combination keyed by permutation, int numerators over one common
+denominator, so sums, scaling, equality and hashing are the ones
+Polynomial uses.  The product is convolution of the numerators, matching
+operator composition on polynomials: (g * h)(P) = g(h(P)).
 The four named elements are
 
     S3sym = (1/6) sum_sigma sigma
@@ -61,11 +62,11 @@ class GroupAlgebraElement(Combination):
         if not isinstance(other, GroupAlgebraElement):
             return super().__mul__(other)
         out = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
+        for p1, n1 in self.nums.items():
+            for p2, n2 in other.nums.items():
                 key = compose(p1, p2)
-                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
-        return GroupAlgebraElement(out)
+                out[key] = out.get(key, 0) + n1 * n2
+        return GroupAlgebraElement._reduced(self.den * other.den, out)
 
     def __repr__(self):
         if not self.terms:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import comb, gcd, prod
 
 from .arith import binom, integer_scaled
 
@@ -42,22 +42,23 @@ from .arith import binom, integer_scaled
 MAX_ORDER = 28
 
 
-def coeff_A(i: int, j: int, k: int, l: int, d: int) -> int:
+def coeff_A(i: int, j: int, k: int, l: int, d: int, C) -> int:
     """Constraint coefficient of ansatz label [i, j] in row (k, l), degree d.
 
     This is the coefficient of (x1 - x2)^l x2^(d-k-l) ... in the expansion of
     (1 - s12) applied to the ansatz term; only its closed binomial form is
-    needed here.  Arguments are not checked: build_system, the one
-    caller, passes labels 0 <= j <= i, k, l >= 0 and a checked degree.
+    needed here, read from build_system's table C[n][l] = binom(n, l).
+    Arguments are not checked: build_system, the one caller, passes labels
+    0 <= j <= i, k, l >= 0 and a checked degree, and C covers 0..d.
     """
     if k > i:  # binom(i, k) = binom(j, k) = 0, since j <= i
         return 0
     if i == j:
-        return binom(i, k) * (binom(d - i - k, l) - binom(2 * i - k, l))
+        return C[i][k] * (C[d - i - k][l] - C[2 * i - k][l])
     return (
-        binom(i, k) * binom(d - j - k, l)
-        + binom(j, k) * binom(d - i - k, l)
-        - (binom(i, k) + binom(j, k)) * binom(i + j - k, l)
+        C[i][k] * C[d - j - k][l]
+        + C[j][k] * C[d - i - k][l]
+        - (C[i][k] + C[j][k]) * C[i + j - k][l]
     )
 
 
@@ -101,9 +102,11 @@ def build_system(m: int, d: int) -> CoeffSystem:
     _check_order_degree(m, d)
     rows = system_rows(m)
     cols = system_columns(m)
+    # this call's binomial table; comb is 0 past the diagonal
+    C = [[comb(n, l) for l in range(d + 1)] for n in range(d + 1)]
     # list comprehensions: at small m, tuple() of a generator is slower
     entries = tuple(
-        [tuple([coeff_A(i, j, k, l, d) for (i, j) in cols]) for (k, l) in rows]
+        [tuple([coeff_A(i, j, k, l, d, C) for (i, j) in cols]) for (k, l) in rows]
     )
     return CoeffSystem(m=m, d=d, rows=rows, cols=cols, entries=entries)
 

@@ -1,12 +1,18 @@
 """Sparse exact polynomials in x1, x2, x3 and the S3 action on them.
 
-A polynomial is a mapping from exponent triples (a, b, c) to nonzero
-Fraction coefficients.  The canonical term order used for serialization
-and normalization is graded lexicographic, highest first.
+A polynomial is integer-native: a positive common denominator den and a
+dict nums from exponent triples (a, b, c) to nonzero int numerators, the
+coefficient of x1^a x2^b x3^c being nums[(a, b, c)] / den, in the
+canonical form gcd(den, every numerator) = 1.  terms views the same
+coefficients as Fractions, for display and the public API.  The
+canonical term order used for serialization and normalization is graded
+lexicographic, highest first.
 
 The sparse rational arithmetic lives in the base class Combination,
 shared with group_ops.GroupAlgebraElement; each subclass checks its own
-keys and defines its own product.
+keys and defines its own product.  The readers (parse_poly,
+Polynomial.from_json_obj) and the kernels work on the numerators and
+hand them to the trusted constructor _reduced, which checks no key.
 
 Permutations are image tuples (sigma(1), sigma(2), sigma(3)).  A
 permutation acts on polynomials by substituting x_i -> x_{sigma(i)}, so
@@ -17,9 +23,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from itertools import permutations
+from math import comb, gcd, lcm
 
-from .arith import integer_scaled, rational_from_str, rational_to_str
+from .arith import rational_to_str
 
 Exponent = tuple  # (a, b, c), nonnegative ints
 Permutation = tuple  # (sigma(1), sigma(2), sigma(3))
@@ -38,13 +45,7 @@ def compose(sigma: Permutation, tau: Permutation) -> Permutation:
 
 
 def sign(sigma: Permutation) -> int:
-    inv = sum(
-        1
-        for a in range(3)
-        for b in range(a + 1, 3)
-        if sigma[a] > sigma[b]
-    )
-    return -1 if inv % 2 else 1
+    return (-1) ** sum(sigma[a] > sigma[b] for a in range(3) for b in range(a + 1, 3))
 
 
 def term_key(exp: Exponent):
@@ -65,25 +66,57 @@ def _check_exponent(exp) -> Exponent:
 
 
 class Combination:
-    """Immutable sparse rational combination: a dict from keys to nonzero
-    Fractions.  Subclasses define _check_key and their own product; zero
-    coefficients are dropped here, in the constructor, only.
+    """Immutable sparse rational combination, integer-native: a positive
+    common denominator den and a dict nums from keys to nonzero int
+    numerators, the coefficient of a key being nums[key] / den.  The form
+    is canonical, gcd(den, every numerator) = 1, so equal combinations
+    have equal (den, nums) and == and hash compare those.  Subclasses
+    define _check_key and their own product.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, terms=None):
+        """From a mapping of keys to ints, Fractions or anything Fraction
+        takes; zero coefficients are dropped, the other keys checked."""
         clean = {}
         if terms:
             for key, coeff in dict(terms).items():
-                if not isinstance(coeff, Fraction):
+                if type(coeff) is not int and not isinstance(coeff, Fraction):
                     coeff = Fraction(coeff)
                 if coeff:
                     clean[self._check_key(key)] = coeff
-        object.__setattr__(self, "terms", clean)
+        # over the lcm of lowest-terms denominators the gcd is already 1
+        den = lcm(*[c.denominator for c in clean.values()])
+        object.__setattr__(self, "den", den)
+        object.__setattr__(
+            self, "nums", {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        )
+
+    @classmethod
+    def _reduced(cls, den, nums):
+        """The trusted constructor, from int numerators of checked keys over
+        den > 0: drops the zeros and divides out gcd(den, numerators)."""
+        if not all(nums.values()):
+            nums = {k: v for k, v in nums.items() if v}
+        if den > 1:
+            g = gcd(den, *nums.values())
+            if g > 1:
+                den //= g
+                nums = {k: v // g for k, v in nums.items()}
+        self = object.__new__(cls)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """A new dict from each key to its nonzero Fraction coefficient."""
+        den = self.den
+        return {k: Fraction(v, den) for k, v in self.nums.items()}
 
     @classmethod
     def _coerce(cls, value):
@@ -91,27 +124,29 @@ class Combination:
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._reduced(1, {})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out[key] + coeff if key in out else coeff
-        return type(self)(out)
+        den = lcm(self.den, other.den)
+        scale = den // other.den
+        out = {k: v * (den // self.den) for k, v in self.nums.items()}
+        for key, num in other.nums.items():
+            out[key] = out.get(key, 0) + num * scale
+        return self._reduced(den, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self._reduced(self.den, {k: -v for k, v in self.nums.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -124,7 +159,10 @@ class Combination:
     def __mul__(self, other):
         """Scaling by an int or Fraction; subclasses add their product."""
         if isinstance(other, (int, Fraction)):
-            return type(self)({k: c * other for k, c in self.terms.items()})
+            num = other.numerator
+            return self._reduced(
+                self.den * other.denominator, {k: v * num for k, v in self.nums.items()}
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -133,10 +171,10 @@ class Combination:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
 
 class Polynomial(Combination):
@@ -160,9 +198,7 @@ class Polynomial(Combination):
     def variable(cls, i: int) -> "Polynomial":
         if i not in (1, 2, 3):
             raise ValueError("variable index must be 1, 2, or 3")
-        exp = [0, 0, 0]
-        exp[i - 1] = 1
-        return cls({tuple(exp): 1})
+        return cls.monomial([int(i == k) for k in (1, 2, 3)])
 
     @classmethod
     def monomial(cls, exp) -> "Polynomial":
@@ -170,22 +206,19 @@ class Polynomial(Combination):
 
     def degree(self):
         """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.nums), default=None)
 
     def var_degree(self, i: int) -> int:
         """Largest exponent of x_i appearing (0 for the zero polynomial)."""
         if i not in (1, 2, 3):
             raise ValueError("variable index must be 1, 2, or 3")
-        return max((e[i - 1] for e in self.terms), default=0)
+        return max((e[i - 1] for e in self.nums), default=0)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self.nums))) <= 1
 
     def coefficient(self, exp) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        return Fraction(self.nums.get(tuple(exp), 0), self.den)
 
     def sorted_terms(self):
         """Terms in canonical order: graded lex, highest first."""
@@ -193,41 +226,34 @@ class Polynomial(Combination):
 
     def apply_perm(self, sigma: Permutation) -> "Polynomial":
         """Substitute x_i -> x_{sigma(i)} in every monomial."""
-        out = {}
-        for exp, coeff in self.terms.items():
-            moved = [0, 0, 0]
-            for pos in range(3):
-                moved[sigma[pos] - 1] = exp[pos]
-            out[tuple(moved)] = coeff
-        return Polynomial(out)
+        # the exponent at position p moves to sigma(p): q reads it from sigma.index(q)
+        i, j, k = (sigma.index(q) for q in (1, 2, 3))
+        return Polynomial._reduced(
+            self.den, {(e[i], e[j], e[k]): v for e, v in self.nums.items()}
+        )
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return super().__mul__(other)
-        # convolve integer numerators; one Fraction per output term
-        den1, nums1 = integer_scaled(self.terms.values())
-        den2, nums2 = integer_scaled(other.terms.values())
-        right = list(zip(other.terms, nums2))
+        # convolve the numerators; the denominators multiply
+        right = list(other.nums.items())
         out = {}
-        for (a1, b1, c1), n1 in zip(self.terms, nums1):
+        for (a1, b1, c1), n1 in self.nums.items():
             for (a2, b2, c2), n2 in right:
                 key = (a1 + a2, b1 + b2, c1 + c2)
                 out[key] = out.get(key, 0) + n1 * n2
-        den = den1 * den2
-        return Polynomial({key: Fraction(v, den) for key, v in out.items() if v})
+        return Polynomial._reduced(self.den * other.den, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(1)
-        base = self
+        result, base = Polynomial.constant(1), self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
-            n >>= 1
+            base, n = base * base, n >> 1
         return result
 
     def __str__(self):
@@ -238,82 +264,90 @@ class Polynomial(Combination):
 
     def to_json_obj(self):
         """List of {"e": [a, b, c], "c": "num/den"} in canonical order."""
-        # str of a Fraction is "num" or "num/den", as rational_to_str writes
-        return [{"e": list(exp), "c": str(coeff)} for exp, coeff in self.sorted_terms()]
+        den, nums = self.den, self.nums
+        out = []
+        for exp in sorted(nums, key=term_key, reverse=True):
+            num = nums[exp]
+            g = gcd(num, den)  # "num" or "num/den" in lowest terms, as str(Fraction)
+            c = str(num // g) if g == den else f"{num // g}/{den // g}"
+            out.append({"e": list(exp), "c": c})
+        return out
 
     @classmethod
     def from_json_obj(cls, obj) -> "Polynomial":
         if not isinstance(obj, list):
             raise ValueError("polynomial JSON must be a list of terms")
-        out = {}
+        den, out, negative = 1, {}, False
         for item in obj:
-            # the common case in exact type tests; _check_json_term raises
-            if not (type(item) is dict and item.keys() == _TERM_KEYS):
-                _check_json_term(item)
+            if not isinstance(item, dict) or item.keys() != _TERM_KEYS:
+                raise ValueError(f"bad term object: {item!r}")
             e, c = item["e"], item["c"]
+            # JSON true/false load as bool, a subclass of int
             if not (
-                type(e) is list
+                isinstance(e, list)
                 and len(e) == 3
                 and type(e[0]) is type(e[1]) is type(e[2]) is int
-                and type(c) is str
+                and isinstance(c, str)
             ):
-                _check_json_term(item)
-            exp = tuple(e)  # the constructor checks the signs
-            coeff = rational_from_str(c)
+                raise ValueError(f'term needs three integers "e" and a string "c": {item!r}')
+            m = _RATIONAL_RE.match(c)
+            if m is None:
+                raise ValueError(f"not an exact rational: {c.strip()!r}")
+            num, d = m.groups()
+            num = int(num)
+            if d is None:
+                num *= den
+            else:
+                d = int(d)
+                if not d:
+                    raise ValueError(f"zero denominator: {c.strip()!r}")
+                if den % d:
+                    den, out = _widened(den, d, out)
+                num *= den // d
+            exp = (e[0], e[1], e[2])
             if exp in out:
                 raise ValueError(f"duplicate exponent {exp} in polynomial JSON")
-            out[exp] = coeff
-        return cls(out)
+            out[exp] = num
+            negative = negative or e[0] < 0 or e[1] < 0 or e[2] < 0
+        P = cls._reduced(den, out)
+        if negative:  # named after every other error, on nonzero terms only
+            for exp in P.nums:
+                _check_exponent(exp)
+        return P
 
 
 _TERM_KEYS = frozenset(("e", "c"))
+# "num" or "num/den" between whitespace; no underscores, floats or signed den
+_RATIONAL_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*\Z")
 
 
-def _check_json_term(item):
-    """Raise the error a bad JSON term object deserves; pass a good one."""
-    if not isinstance(item, dict) or set(item) != _TERM_KEYS:
-        raise ValueError(f"bad term object: {item!r}")
-    e, c = item["e"], item["c"]
-    # JSON true/false load as bool, a subclass of int
-    if not (
-        isinstance(e, list)
-        and len(e) == 3
-        and all(type(k) is int for k in e)
-        and isinstance(c, str)
-    ):
-        raise ValueError(f'term needs three integers "e" and a string "c": {item!r}')
+def _widened(den: int, d: int, nums: dict):
+    """(lcm(den, d), nums rescaled to it), for a reader's term over d."""
+    wide = lcm(den, d)
+    scale = wide // den
+    return wide, {k: v * scale for k, v in nums.items()}
 
 
 def elementary(k: int) -> Polynomial:
     """Elementary symmetric polynomial e_k in x1, x2, x3."""
-    if k == 1:
-        return Polynomial({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-    if k == 2:
-        return Polynomial({(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
-    if k == 3:
-        return Polynomial.monomial((1, 1, 1))
-    raise ValueError("k must be 1, 2, or 3")
+    if k not in (1, 2, 3):
+        raise ValueError("k must be 1, 2, or 3")
+    return Polynomial(dict.fromkeys(permutations((1,) * k + (0,) * (3 - k)), 1))
 
 
 def vandermonde() -> Polynomial:
     """(x1 - x2)(x1 - x3)(x2 - x3)."""
-    x1, x2, x3 = (Polynomial.variable(i) for i in (1, 2, 3))
-    return (x1 - x2) * (x1 - x3) * (x2 - x3)
+    return vandermonde_power(1)
 
 
 def vandermonde_power(p: int) -> Polynomial:
     """Delta^p as the product of the binomial expansions of (x_i - x_j)^p."""
     if not isinstance(p, int) or p < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    result = Polynomial.constant(1)
-    for i, j in TRANSPOSITIONS:
-        terms = {}
-        for k in range(p + 1):
-            exp = [0, 0, 0]
-            exp[i - 1], exp[j - 1] = p - k, k
-            terms[tuple(exp)] = (-1) ** k * comb(p, k)
-        result = result * Polynomial(terms)
-    return result
+    terms = {(p - k, k, 0): (-1) ** k * comb(p, k) for k in range(p + 1)}
+    x12 = Polynomial._reduced(1, terms)
+    # x2 -> x3 makes (x1 - x3)^p of it, and x1 -> x2, x2 -> x3 makes (x2 - x3)^p
+    return x12 * x12.apply_perm(S23) * x12.apply_perm((2, 3, 1))
 
 
 # --- plain-text format ----------------------------------------------------
@@ -345,20 +379,23 @@ def parse_poly(text: str) -> Polynomial:
     chunks = re.findall(r"[+-]?[^+-]+", compact)
     if "".join(chunks) != compact:
         raise ValueError(f"cannot tokenize polynomial: {text!r}")
-    out = {}
+    den, out = 1, {}
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
         if m is None:
             raise ValueError(f"bad term {chunk!r} in polynomial: {text!r}")
         # a chunk holds more than its sign, so a match has a number or a factor
-        sign, num, den, x1, e1, x2, e2, x3, e3, rest = m.groups()
-        if den is None:
-            coeff = int(sign + (num or "1"))  # the constructor makes the Fraction
+        sign, num, d, x1, e1, x2, e2, x3, e3, rest = m.groups()
+        coeff = int(sign + (num or "1"))
+        if d is None:
+            coeff *= den
         else:
-            try:
-                coeff = Fraction(int(sign + num), int(den))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator: '{num}/{den}'") from None
+            over = int(d)
+            if not over:
+                raise ValueError(f"zero denominator: '{num}/{d}'")
+            if den % over:
+                den, out = _widened(den, over, out)
+            coeff *= den // over
         key = (
             int(e1) if e1 else 1 if x1 else 0,
             int(e2) if e2 else 1 if x2 else 0,
@@ -370,34 +407,17 @@ def parse_poly(text: str) -> Polynomial:
                 exp[int(fm.group(1)) - 1] += int(fm.group(2) or 1)
             key = tuple(exp)
         out[key] = out[key] + coeff if key in out else coeff
-    return Polynomial(out)
-
-
-def _format_term(exp: Exponent, coeff: Fraction) -> str:
-    factors = []
-    for idx, e in enumerate(exp):
-        if e == 1:
-            factors.append(f"x{idx + 1}")
-        elif e > 1:
-            factors.append(f"x{idx + 1}^{e}")
-    mag = abs(coeff)
-    if not factors:
-        return rational_to_str(mag)
-    body = "*".join(factors)
-    if mag == 1:
-        return body
-    return f"{rational_to_str(mag)}*{body}"
+    return Polynomial._reduced(den, out)
 
 
 def format_poly(P: Polynomial) -> str:
     """Canonical plain-text form; parse_poly(format_poly(P)) == P."""
-    if P.is_zero():
-        return "0"
     parts = []
-    for pos, (exp, coeff) in enumerate(P.sorted_terms()):
-        text = _format_term(exp, coeff)
-        if pos == 0:
-            parts.append(text if coeff > 0 else f"-{text}")
-        else:
-            parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
-    return " ".join(parts)
+    for exp, coeff in P.sorted_terms():
+        factors = [f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exp, 1) if e]
+        mag = abs(coeff)
+        if mag != 1 or not factors:
+            factors.insert(0, rational_to_str(mag))
+        parts.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
+    text = " ".join(parts)  # "+ x1 - 2*x2": the first sign loses its space
+    return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]

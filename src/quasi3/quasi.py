@@ -42,7 +42,6 @@ from fractions import Fraction
 from itertools import accumulate, permutations
 from math import comb
 
-from .arith import integer_scaled
 from .linsys import det_exact, nullspace_vectors, rank
 from .poly import (
     ALL_PERMS,
@@ -52,13 +51,6 @@ from .poly import (
     Polynomial,
     elementary,
 )
-
-
-def _integer_terms(P: Polynomial):
-    """(den, [(exponent, numerator)]): P's terms as integer numerators over
-    one common denominator, since Fraction sums are slow."""
-    den, nums = integer_scaled(P.terms.values())
-    return den, list(zip(P.terms, nums))
 
 
 def _difference(terms, i: int, j: int):
@@ -161,12 +153,12 @@ def is_quasiinvariant(P: Polynomial, m: int) -> QuasiReport:
     if m < 0:
         raise ValueError("m must be nonnegative")
     need = 2 * m + 1
-    _, terms = _integer_terms(P)
     checks = []
     for i, j in TRANSPOSITIONS:
         # s_ij sends the term at index a of a group to index s - a
         power = _lowest_order(
-            [x - y for x, y in zip(q, reversed(q))] for q in _groups(terms, i, j)
+            [x - y for x, y in zip(q, reversed(q))]
+            for q in _groups(P.nums.items(), i, j)
         )
         checks.append(
             TranspositionCheck(
@@ -308,7 +300,8 @@ def independent_modulo_ideal(polys, m: int) -> bool:
     monos = monomials_of_degree(d)
 
     def coordinates(Q):
-        return [Q.coefficient(mono) for mono in monos]
+        # Q.den times Q's coefficients: scaling a row keeps the rank
+        return [Q.nums.get(mono, 0) for mono in monos]
 
     vectors = [
         coordinates(elementary(k) * Q)
@@ -431,9 +424,8 @@ CERTIFICATE_POINT = (0, 1, 3)
 
 def _values_at(P: Polynomial, points):
     """P times its common denominator, at each integer point."""
-    _, terms = _integer_terms(P)
     return [
-        sum(num * x**a * y**b * z**c for (a, b, c), num in terms)
+        sum(num * x**a * y**b * z**c for (a, b, c), num in P.nums.items())
         for x, y, z in points
     ]
 

@@ -1,9 +1,31 @@
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from quasi3.arith import binom, integer_scaled, rational_from_str, rational_to_str
+from quasi3.arith import binom, integer_scaled, rational_to_str
+from quasi3.poly import Polynomial
+
+_RAT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
+
+
+def rational_from_str(text: str) -> Fraction:
+    """Parse "num" or "num/den".  Rejects anything else, including floats.
+
+    The coefficient reader Polynomial.from_json_obj used before it built
+    int numerators itself, kept as its oracle.
+    """
+    text = text.strip()
+    match = _RAT_RE.match(text)
+    if not match:
+        raise ValueError(f"not an exact rational: {text!r}")
+    num, den = match.groups()
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def test_binom_matches_math_comb_on_valid_range():
@@ -68,3 +90,31 @@ def test_integer_scaled_mixed_ints_and_fractions():
 
 def test_integer_scaled_empty_row():
     assert integer_scaled([]) == (1, [])
+
+
+def json_reader_outcome(text):
+    """The coefficient from_json_obj reads from one "c" text, or the text
+    of its ValueError."""
+    try:
+        return Polynomial.from_json_obj([{"e": [0, 0, 0], "c": text}]).coefficient((0, 0, 0))
+    except ValueError as exc:
+        return str(exc)
+
+
+def oracle_outcome(text):
+    try:
+        return rational_from_str(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_json_reader_matches_oracle_on_random_texts():
+    tokens = ["0", "1", "7", "12", "/", "/0", "+", "-", " ", "\t", "_", ".", "e", "x", "\u0663"]
+    rng = random.Random(26)
+    accepted = 0
+    for _ in range(10_000):
+        text = "".join(rng.choices(tokens, k=rng.randint(0, 7)))
+        got = json_reader_outcome(text)
+        assert got == oracle_outcome(text), repr(text)
+        accepted += isinstance(got, Fraction)
+    assert accepted > 1000  # both branches are exercised

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -10,7 +11,7 @@ from quasi3.group_ops import (
     make_element,
     verify_identities,
 )
-from quasi3.poly import ALL_PERMS, IDENTITY, S12, S13, S23, Polynomial
+from quasi3.poly import ALL_PERMS, IDENTITY, S12, S13, S23, Polynomial, compose
 
 
 def random_poly(rng):
@@ -141,3 +142,22 @@ def test_equal_elements_hash_equal():
     assert built == expanded
     assert hash(built) == hash(expanded)
     assert len({built, expanded, make_element("pi2") * 1}) == 1
+
+
+def test_products_keep_the_canonical_form():
+    """Every product of two named elements or transpositions is int
+    numerators over a positive denominator with gcd 1, and equals the
+    Fraction convolution of its factors."""
+    factors = [make_element(name) for name in ("S3sym", "S3alt", "pi1", "pi2")]
+    factors += [GroupAlgebraElement.from_perm(p, Fraction(-2, 3)) for p in (S12, S13, S23)]
+    for g in factors:
+        for h in factors:
+            product = g * h
+            want = {}
+            for p1, c1 in g.terms.items():
+                for p2, c2 in h.terms.items():
+                    key = compose(p1, p2)
+                    want[key] = want.get(key, Fraction(0)) + c1 * c2
+            assert product.terms == {k: c for k, c in want.items() if c}
+            assert product.den > 0 and all(type(v) is int and v for v in product.nums.values())
+            assert gcd(product.den, *product.nums.values()) == 1

@@ -268,18 +268,45 @@ def test_nullspace_vectors():
     assert len(full) == 2
 
 
+def binomial_table(d):
+    return [[binom(n, l) for l in range(d + 1)] for n in range(d + 1)]
+
+
 def test_coeff_A_diagonal_and_offdiagonal():
     # diagonal label [i, i]: binom(i, k) * (binom(d-i-k, l) - binom(2i-k, l))
     m, d = 2, 7
-    assert coeff_A(0, 0, 0, 3, d) == binom(7, 3) - binom(0, 3)
-    assert coeff_A(1, 1, 1, 1, d) == binom(1, 1) * (binom(5, 1) - binom(1, 1))
+    C = binomial_table(d)
+    assert coeff_A(0, 0, 0, 3, d, C) == binom(7, 3) - binom(0, 3)
+    assert coeff_A(1, 1, 1, 1, d, C) == binom(1, 1) * (binom(5, 1) - binom(1, 1))
     # off-diagonal [i, j], i > j
     expected = (
         binom(1, 1) * binom(d - 0 - 1, 1)
         + binom(0, 1) * binom(d - 1 - 1, 1)
         - (binom(1, 1) + binom(0, 1)) * binom(1 - 1, 1)
     )
-    assert coeff_A(1, 0, 1, 1, d) == expected
+    assert coeff_A(1, 0, 1, 1, d, C) == expected
+
+
+def oracle_coeff_A(i, j, k, l, d):
+    """coeff_A as it was before build_system's binomial table: the same
+    closed form on binom calls."""
+    if i == j:
+        return binom(i, k) * (binom(d - i - k, l) - binom(2 * i - k, l))
+    return (
+        binom(i, k) * binom(d - j - k, l)
+        + binom(j, k) * binom(d - i - k, l)
+        - (binom(i, k) + binom(j, k)) * binom(i + j - k, l)
+    )
+
+
+def test_system_entries_match_the_closed_form_on_binom_calls():
+    for m in range(MAX_ORDER + 1):
+        for d in (3 * m + 1, 3 * m + 2):
+            sys = build_system(m, d)
+            want = tuple(
+                tuple(oracle_coeff_A(i, j, k, l, d) for i, j in sys.cols) for k, l in sys.rows
+            )
+            assert sys.entries == want, (m, d)
 
 
 def test_system_rows_and_columns():

@@ -140,6 +140,103 @@ def test_coefficients_stay_canonical_on_fixed_inputs():
         assert all(type(c) is Fraction for c in P.terms.values())
 
 
+# --- the integer-native form against a Fraction-dict oracle -----------------
+
+
+def oracle_sum(a, b, sign=1):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, Fraction(0)) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def oracle_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def oracle_permuted(a, sigma):
+    """x_i -> x_sigma(i): the exponent at position i moves to sigma(i)."""
+    out = {}
+    for exp, c in a.items():
+        moved = [0, 0, 0]
+        for pos in range(3):
+            moved[sigma[pos] - 1] = exp[pos]
+        out[tuple(moved)] = c
+    return out
+
+
+def oracle_text(a, widen):
+    """a in the text grammar, each coefficient written over widen times its
+    denominator, and a constant 1 added and taken away again."""
+    parts = ["1"]
+    for (e1, e2, e3), c in a.items():
+        num, den = abs(c.numerator) * widen, c.denominator * widen
+        parts.append(f"{'-' if c < 0 else '+'} {num}/{den}*x1^{e1}*x2^{e2}*x3^{e3}")
+    return " ".join(parts + ["- 1"])
+
+
+def assert_canonical_form(P, oracle):
+    """den > 0 and nonzero int numerators with gcd 1, equal to the oracle."""
+    assert type(P.den) is int and P.den > 0
+    assert all(type(v) is int and v for v in P.nums.values())
+    assert gcd(P.den, *P.nums.values()) == 1
+    assert P.terms == oracle
+
+
+fraction_dicts = st.dictionaries(exponents, coefficients, max_size=6).map(
+    lambda raw: {key: c for key, c in raw.items() if c}
+)
+scalars = st.integers(-6, 6) | st.fractions(min_value=-3, max_value=3, max_denominator=8)
+
+
+@checked
+@given(
+    fraction_dicts,
+    fraction_dicts,
+    scalars,
+    st.sampled_from(ALL_PERMS),
+    st.integers(0, 3),
+    st.integers(1, 4),
+)
+def test_every_operation_keeps_the_canonical_form(a, b, scale, sigma, n, widen):
+    p, q = Polynomial(a), Polynomial(b)
+    power = {(0, 0, 0): Fraction(1)}
+    for _ in range(n):
+        power = oracle_product(power, a)
+    json_a = [
+        {"e": list(e), "c": f"{c.numerator * widen}/{c.denominator * widen}"}
+        for e, c in a.items()
+    ]
+    scaled = {key: c * scale for key, c in a.items() if scale}
+    results = [
+        (p, a),
+        (parse_poly(oracle_text(a, widen)), a),
+        (Polynomial.from_json_obj(json_a), a),
+        (p + q, oracle_sum(a, b)),
+        (p - q, oracle_sum(a, b, -1)),
+        (q - p + p, b),
+        (-p, {key: -c for key, c in a.items()}),
+        (p * q, oracle_product(a, b)),
+        (p * scale, scaled),
+        (scale * p, scaled),
+        (p.apply_perm(sigma), oracle_permuted(a, sigma)),
+        (p**n, power),
+    ]
+    for P, oracle in results:
+        assert_canonical_form(P, oracle)
+    # == and hash agree with the oracles, pair by pair
+    for P, oracle in results:
+        for Q, other in results:
+            assert (P == Q) == (oracle == other)
+            if oracle == other:
+                assert hash(P) == hash(Q)
+
+
 @pytest.mark.parametrize(
     "exp", [(-1, 0, 0), (1.5, 0, 0), (1, 0), (1, 0, 0, 0), (True, 0, 0)]
 )

@@ -9,6 +9,7 @@ from itertools import permutations, product
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quasi3.arith import integer_scaled
 from quasi3.linsys import nullspace_vectors, rank
 from quasi3.poly import (
     ALL_PERMS,
@@ -28,7 +29,6 @@ from quasi3.quasi import (
 from quasi3.quasi import (
     _alternating_count,
     _groups,
-    _integer_terms,
     _lowest_order,
     _s23_fixed_count,
     _shift_coefficient,
@@ -55,6 +55,15 @@ def at_diagonal(P, i, j):
     return Polynomial(out)
 
 
+def integer_terms(P: Polynomial):
+    """(den, [(exponent, numerator)]): P's Fraction coefficients over their
+    lcm denominator, rebuilt from the terms view (the kernels read P.nums
+    instead)."""
+    terms = P.terms
+    den, nums = integer_scaled(terms.values())
+    return den, list(zip(terms, nums))
+
+
 def check_pair(i: int, j: int):
     if i == j or i not in (1, 2, 3) or j not in (1, 2, 3):
         raise ValueError("need two distinct variable indices in 1..3")
@@ -64,7 +73,7 @@ def largest_dividing_power(P: Polynomial, i: int, j: int):
     """Largest p with (x_i - x_j)^p | P, or None when P is zero: the
     grouped search behind is_quasiinvariant, run on P itself."""
     check_pair(i, j)
-    return _lowest_order(_groups(_integer_terms(P)[1], i, j))
+    return _lowest_order(_groups(integer_terms(P)[1], i, j))
 
 
 def taylor_coefficients(P: Polynomial, i: int, j: int, count: int):
@@ -79,7 +88,7 @@ def taylor_coefficients(P: Polynomial, i: int, j: int, count: int):
     check_pair(i, j)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    den, terms = _integer_terms(P)
+    den, terms = integer_terms(P)
     return [
         Polynomial(
             {k: Fraction(v, den) for k, v in _shift_coefficient(terms, i, j, r).items()}
@@ -128,7 +137,7 @@ def lowest_shift_order(P, i, j):
     """The lowest r with a nonzero t^r coefficient, searched order by order
     on the per-order shift kernel, else None: the oracle for the grouped
     synthetic-division search."""
-    _, terms = _integer_terms(P)
+    _, terms = integer_terms(P)
     return next(
         (
             r
