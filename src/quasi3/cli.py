@@ -65,6 +65,18 @@ def _write_json(obj, out, lead, indent):
             _write_json(value, out, sep + encode_basestring(key) + ": ", inner)
             sep = "," + inner
         out.append(indent + "}")
+    elif isinstance(obj, Polynomial):  # as its to_json_obj, one part per term
+        if not obj.nums:
+            out.append(lead + "[]")
+            return
+        i1 = indent + "  "
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+        sep = lead + "[" + i1
+        for (a, b, c), coeff in obj.json_terms():
+            out.append(f'{sep}{{{i2}"e": [{i3}{a},{i3}{b},{i3}{c}{i2}],{i2}"c": "{coeff}"{i1}}}')
+            sep = "," + i1
+        out.append(indent + "]")
     else:
         out.append(lead + _encode_scalar(obj))
 
@@ -131,9 +143,7 @@ def cmd_basis(args) -> int:
         obj = {
             "m": report.m,
             "verify": report.verify,
-            "elements": {
-                e.name: e.poly.to_json_obj() for e in report.elements
-            },
+            "elements": {e.name: e.poly for e in report.elements},
             "degrees": {e.name: e.degree for e in report.elements},
             "expected_degrees": {
                 e.name: e.expected_degree for e in report.elements

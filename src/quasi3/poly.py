@@ -262,16 +262,18 @@ class Polynomial(Combination):
     def __repr__(self):
         return f"Polynomial({format_poly(self)!r})"
 
-    def to_json_obj(self):
-        """List of {"e": [a, b, c], "c": "num/den"} in canonical order."""
+    def json_terms(self):
+        """(exponent, coefficient text) in canonical order, the text "num"
+        or "num/den" in lowest terms as str(Fraction) writes it."""
         den, nums = self.den, self.nums
-        out = []
         for exp in sorted(nums, key=term_key, reverse=True):
             num = nums[exp]
-            g = gcd(num, den)  # "num" or "num/den" in lowest terms, as str(Fraction)
-            c = str(num // g) if g == den else f"{num // g}/{den // g}"
-            out.append({"e": list(exp), "c": c})
-        return out
+            g = gcd(num, den)
+            yield exp, str(num // g) if g == den else f"{num // g}/{den // g}"
+
+    def to_json_obj(self):
+        """List of {"e": [a, b, c], "c": "num/den"} in canonical order."""
+        return [{"e": list(exp), "c": c} for exp, c in self.json_terms()]
 
     @classmethod
     def from_json_obj(cls, obj) -> "Polynomial":

@@ -9,11 +9,15 @@ monomials x_j^(a+b-r) x_k^c t^r, with weight binom(a, r).  So the integer
 numerators are grouped by (a + b, c) into lists q indexed by a, the t^r
 coefficient of a group is the r-th Taylor coefficient of q at y = 1, and
 the largest dividing power is the least multiplicity of the root y = 1
-over the nonzero groups, found by repeated synthetic division (Knuth,
-TAOCP vol. 2, 4.6.4).  s_ij reverses each group, so (1 - s_ij) P is
-q minus its reverse, group by group.  is_quasiinvariant is the one
-public divisibility search; each TranspositionCheck.largest_power it
-reports is the largest dividing power of (1 - s_ij) P.
+over the nonzero groups.  s_ij reverses each group, so (1 - s_ij) P is
+D = q - reversed(q), group by group, and D is antisymmetric, so that
+multiplicity is odd.  One pass over the terms groups them for all three
+pairs; a pair's D lie end to end in one list, and two running sums
+(Knuth, TAOCP vol. 2, 4.6.4) divide every group by (y - 1)^2 at once,
+one odd order per step, until a group's end is nonzero.
+is_quasiinvariant is the one public divisibility search; each
+TranspositionCheck.largest_power it reports is the largest dividing
+power of (1 - s_ij) P.
 
 Parity prunes the orders of the slice rows.  s_ij sends t to -t, so a
 polynomial that s_ij negates, such as (1 - s_ij) P, has its lowest
@@ -41,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations
 from math import comb
+from operator import itemgetter, sub
 
 from .linsys import det_exact, nullspace_vectors, rank
 from .poly import (
@@ -83,48 +88,44 @@ def _shift_coefficient(terms, i: int, j: int, r: int):
     return out
 
 
-def _groups(terms, i: int, j: int):
-    """P's integer terms grouped for x_i = x_j + t: one list q per
-    (a + b, c), indexed by a, for the terms x_i^a x_j^b x_k^c.
+def _dividing_powers(nums):
+    """Largest p with (x_i - x_j)^p | (1 - s_ij) P for the pairs in
+    TRANSPOSITIONS order, None where the difference is zero, from P.nums.
 
-    Such a term gives binom(a, r) x_j^(a+b-r) x_k^c t^r, so the t^r
-    coefficient of a group is sum_a q[a] binom(a, r), the r-th Taylor
-    coefficient of q(y) = sum_a q[a] y^a at y = 1, and no two groups share
-    a monomial.
+    Every group's D = q - reversed(q) is antisymmetric, D[a] = -D[s - a],
+    so its root y = 1 has odd multiplicity and only odd orders need a
+    test.  A running sum of the flat list divides each group by y - 1 and
+    leaves the group's total at its end.  Before every odd-numbered sum
+    the totals are 0, so no sum leaks into the next group; after every
+    even-numbered sum the ends are partial sums of the totals, and one is
+    nonzero exactly when some group has that odd order.
     """
-    k = 6 - i - j
-    groups = {}
-    for exp, num in terms:
-        a = exp[i - 1]
-        s = a + exp[j - 1]
-        key = (s, exp[k - 1])
-        q = groups.get(key)
-        if q is None:
-            q = groups[key] = [0] * (s + 1)
+    # per pair (i, j): (a_i + a_j, a_k) -> the group's list, indexed by a_i
+    g12, g13, g23 = groups = {}, {}, {}
+    for (a, b, c), num in nums.items():
+        s = a + b
+        q = g12.get((s, c)) or g12.setdefault((s, c), [0] * (s + 1))
         q[a] = num
-    return groups.values()
-
-
-def _lowest_order(groups):
-    """The lowest r with a nonzero t^r coefficient, else None.
-
-    That is the least multiplicity of the root y = 1 over the nonzero
-    groups, each found by repeated synthetic division: the running sums of
-    q end in q(1), and when q(1) = 0 the others are, up to sign, the
-    quotient by y - 1.  No group is divided past the least found so far.
-    """
-    least = None
-    for q in groups:
-        if not any(q):
-            continue
-        r = 0
-        while least is None or r < least:
-            q = list(accumulate(q))
-            if q.pop():
-                break
-            r += 1
-        least = r
-    return least
+        s = a + c
+        q = g13.get((s, b)) or g13.setdefault((s, b), [0] * (s + 1))
+        q[a] = num
+        s = b + c
+        q = g23.get((s, a)) or g23.setdefault((s, a), [0] * (s + 1))
+        q[b] = num
+    powers = []
+    for g in groups:
+        flat, ends = [], []
+        for q in g.values():
+            flat += map(sub, q, reversed(q))  # s_ij reverses each group
+            ends.append(len(flat) - 1)
+        power = None
+        if any(flat):
+            ends = itemgetter(ends[0], *ends)  # a tuple even for one group
+            power = 1
+            while not any(ends(flat := list(accumulate(accumulate(flat))))):
+                power += 2
+        powers.append(power)
+    return powers
 
 
 @dataclass(frozen=True)
@@ -149,27 +150,24 @@ class QuasiReport:
 def is_quasiinvariant(P: Polynomial, m: int) -> QuasiReport:
     """Check (1 - s_ij) P divisible by (x_i - x_j)^(2m+1) for all pairs:
     the one public divisibility search, each check's largest_power being
-    the largest dividing power of (1 - s_ij) P (None when it is zero)."""
+    the largest dividing power of (1 - s_ij) P (None when it is zero).
+
+    Every group of a pair is divided in lock-step, and only at odd orders:
+    the difference is antisymmetric in each group, so its order is odd."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     need = 2 * m + 1
-    checks = []
-    for i, j in TRANSPOSITIONS:
-        # s_ij sends the term at index a of a group to index s - a
-        power = _lowest_order(
-            [x - y for x, y in zip(q, reversed(q))]
-            for q in _groups(P.nums.items(), i, j)
+    checks = tuple(
+        TranspositionCheck(
+            pair=pair,
+            difference_zero=power is None,
+            largest_power=power,
+            required_power=need,
+            divisible=power is None or power >= need,
         )
-        checks.append(
-            TranspositionCheck(
-                pair=(i, j),
-                difference_zero=power is None,
-                largest_power=power,
-                required_power=need,
-                divisible=power is None or power >= need,
-            )
-        )
-    return QuasiReport(m=m, checks=tuple(checks))
+        for pair, power in zip(TRANSPOSITIONS, _dividing_powers(P.nums))
+    )
+    return QuasiReport(m=m, checks=checks)
 
 
 # --- coinvariant normal form ------------------------------------------------

@@ -564,6 +564,10 @@ JSON_EDGE_CASES = [
     ['say "hi"', "back\\slash", "\x00\x01\x1f\x7f", "tab\tnew\nline\r", "/"],
     {'k"ey\\': ["\b\f"], "ü": {"é": "ß"}},
     [1.5, -0.0, 1e300, float("inf"), float("nan")],
+    # polynomials write as their to_json_obj
+    Polynomial.zero(),
+    {"p": parse_poly("1/2*x1^2 - 3*x2*x3 + 7"), "q": [Polynomial.zero(), parse_poly("-1/6*x3^10")]},
+    [parse_poly("x1 - x2"), [parse_poly("-4/6")]],
 ]
 
 
@@ -581,7 +585,9 @@ def test_print_json_matches_json_dumps(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     for obj in seen + JSON_EDGE_CASES:
         print_json(obj)
-        assert capsys.readouterr().out == json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+        assert capsys.readouterr().out == json.dumps(
+            obj, indent=2, ensure_ascii=False, default=Polynomial.to_json_obj
+        ) + "\n"
 
 
 def test_identities_json(capsys):

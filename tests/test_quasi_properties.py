@@ -4,7 +4,7 @@ for independence modulo the ideal part against a two-rank oracle."""
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -28,8 +28,7 @@ from quasi3.quasi import (
 )
 from quasi3.quasi import (
     _alternating_count,
-    _groups,
-    _lowest_order,
+    _dividing_powers,
     _s23_fixed_count,
     _shift_coefficient,
 )
@@ -69,11 +68,58 @@ def check_pair(i: int, j: int):
         raise ValueError("need two distinct variable indices in 1..3")
 
 
+def groups(terms, i: int, j: int):
+    """P's integer terms grouped for x_i = x_j + t: one list q per
+    (a + b, c), indexed by a, for the terms x_i^a x_j^b x_k^c.
+
+    Such a term gives binom(a, r) x_j^(a+b-r) x_k^c t^r, so the t^r
+    coefficient of a group is sum_a q[a] binom(a, r), the r-th Taylor
+    coefficient of q(y) = sum_a q[a] y^a at y = 1, and no two groups share
+    a monomial.
+    """
+    k = 6 - i - j
+    out = {}
+    for exp, num in terms:
+        a = exp[i - 1]
+        s = a + exp[j - 1]
+        key = (s, exp[k - 1])
+        q = out.get(key)
+        if q is None:
+            q = out[key] = [0] * (s + 1)
+        q[a] = num
+    return out.values()
+
+
+def lowest_order(groups):
+    """The lowest r with a nonzero t^r coefficient, else None.
+
+    That is the least multiplicity of the root y = 1 over the nonzero
+    groups, each found by repeated synthetic division, one step at a time
+    and one group at a time: the running sums of q end in q(1), and when
+    q(1) = 0 the others are, up to sign, the quotient by y - 1.  No group
+    is divided past the least found so far.  Unlike is_quasiinvariant's
+    kernel it tests every order, even ones too.
+    """
+    least = None
+    for q in groups:
+        if not any(q):
+            continue
+        r = 0
+        while least is None or r < least:
+            q = list(accumulate(q))
+            if q.pop():
+                break
+            r += 1
+        least = r
+    return least
+
+
 def largest_dividing_power(P: Polynomial, i: int, j: int):
-    """Largest p with (x_i - x_j)^p | P, or None when P is zero: the
-    grouped search behind is_quasiinvariant, run on P itself."""
+    """Largest p with (x_i - x_j)^p | P, or None when P is zero, for any
+    P (its order may be even): the oracle for is_quasiinvariant's kernel,
+    which runs on (1 - s_ij) P only."""
     check_pair(i, j)
-    return _lowest_order(_groups(integer_terms(P)[1], i, j))
+    return lowest_order(groups(integer_terms(P)[1], i, j))
 
 
 def taylor_coefficients(P: Polynomial, i: int, j: int, count: int):
@@ -136,7 +182,7 @@ divisible_polys = (
 def lowest_shift_order(P, i, j):
     """The lowest r with a nonzero t^r coefficient, searched order by order
     on the per-order shift kernel, else None: the oracle for the grouped
-    synthetic-division search."""
+    searches."""
     _, terms = integer_terms(P)
     return next(
         (
@@ -182,6 +228,91 @@ def test_symmetric_under_the_pair_has_zero_difference(P, m):
         assert check.difference_zero is True
         assert check.largest_power is None
         assert check.divisible is True
+
+
+@checked
+@given(divisible_polys, st.integers(0, 4))
+def test_lock_step_kernel_matches_single_step_oracle(P, m):
+    """Every largest_power equals the one-group-at-a-time search on the
+    difference (1 - s_ij) P."""
+    for check, (pair, perm) in zip(is_quasiinvariant(P, m).checks, TRANSPOSITIONS.items()):
+        assert check.largest_power == largest_dividing_power(P - P.apply_perm(perm), *pair)
+
+
+x1, x2, x3 = (Polynomial.variable(i) for i in (1, 2, 3))
+
+
+def oracle_powers(P):
+    return [
+        largest_dividing_power(P - P.apply_perm(perm), *pair)
+        for pair, perm in TRANSPOSITIONS.items()
+    ]
+
+
+def group_12(k, e, c):
+    """x1^e (x1 - x2)^k x3^c: one group (k + e, c) for the pair (1, 2);
+    for odd k, (1 - s12) of it is (x1 - x2)^k (x1^e + x2^e) x3^c, whose
+    order is exactly k."""
+    return x1**e * (x1 - x2) ** k * x3**c
+
+
+def kernel_powers(*parts):
+    """The kernel on the parts' terms, the groups of the pair (1, 2)
+    laid out in the parts' order."""
+    nums = {}
+    for part in parts:
+        nums.update(part.nums)
+    return _dividing_powers(nums)
+
+
+def test_lowest_order_group_first_middle_or_last():
+    # lengths 6, 5 and 8; the order-1 group in each position
+    low, mid, high = group_12(1, 4, 0), group_12(3, 1, 1), group_12(5, 2, 2)
+    for parts in ((low, mid, high), (mid, low, high), (mid, high, low)):
+        powers = kernel_powers(*parts)
+        assert powers[0] == 1
+        assert powers == oracle_powers(sum(parts, Polynomial.zero()))
+    # two order-1 groups whose totals cancel: the last end reads 0
+    # after the first two sums, the other ends do not
+    parts = (group_12(1, 4, 0), mid, -group_12(1, 1, 1))
+    assert kernel_powers(*parts)[0] == 1
+    assert kernel_powers(mid, high)[0] == 3
+
+
+def test_non_homogeneous_degrees_of_different_orders():
+    # degree 5 has order 5, degree 7 order 1, degree 4 order 3
+    P = (x1 - x2) ** 5 + group_12(1, 4, 2) + group_12(3, 1, 0)
+    report = is_quasiinvariant(P, 0)
+    assert report.checks[0].largest_power == 1
+    assert [c.largest_power for c in report.checks] == oracle_powers(P)
+    Q = (x1 - x2) ** 5 + group_12(3, 1, 0)
+    assert is_quasiinvariant(Q, 1).checks[0].largest_power == 3
+    assert [c.largest_power for c in is_quasiinvariant(Q, 1).checks] == oracle_powers(Q)
+
+
+def test_single_group():
+    for P, power in ((group_12(3, 2, 0), 3), (x1**3 * x2, 1)):
+        powers = [c.largest_power for c in is_quasiinvariant(P, 0).checks]
+        assert powers[0] == power
+        assert powers == oracle_powers(P)
+    # one term: one group for every pair
+    assert _dividing_powers({(3, 1, 0): 5}) == oracle_powers(x1**3 * x2)
+
+
+def test_fixed_by_the_pair_reads_zero_difference():
+    P = x1**2 * x2**2 * x3 + x1 * x2 + 3 * x3**4
+    check = is_quasiinvariant(P, 2).checks[0]
+    assert (check.difference_zero, check.largest_power, check.divisible) == (True, None, True)
+    assert _dividing_powers({}) == [None, None, None]
+
+
+def test_planted_order_above_the_required_power():
+    # need = 3 at m = 1; the loop runs on to orders 7 and 9
+    for P, power in ((group_12(7, 2, 1), 7), ((x1 - x2) ** 9, 9)):
+        check = is_quasiinvariant(P, 1).checks[0]
+        assert (check.largest_power, check.required_power) == (power, 3)
+        assert check.divisible is True
+        assert check.largest_power == oracle_powers(P)[0]
 
 
 def all_orders_kernel(unknowns, count):
