@@ -34,7 +34,8 @@ _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 def _write_json(obj, out, lead, indent):
     """Append lead + json.dumps(obj, indent=2, ensure_ascii=False) to out, in
-    parts; the text before each value rides in that value's first part."""
+    parts, a Polynomial written as its to_json_obj; the text before each
+    value rides in that value's first part."""
     if isinstance(obj, str):
         out.append(lead + encode_basestring(obj))
     elif type(obj) is int:  # not bool; the encoder's own call is slow

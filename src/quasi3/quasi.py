@@ -120,9 +120,9 @@ def _dividing_powers(nums):
             ends.append(len(flat) - 1)
         power = None
         if any(flat):
-            ends = itemgetter(ends[0], *ends)  # a tuple even for one group
+            read_ends = itemgetter(ends[0], *ends)  # a tuple even for one group
             power = 1
-            while not any(ends(flat := list(accumulate(accumulate(flat))))):
+            while not any(read_ends(flat := list(accumulate(accumulate(flat))))):
                 power += 2
         powers.append(power)
     return powers

@@ -90,7 +90,7 @@ def groups(terms, i: int, j: int):
     return out.values()
 
 
-def lowest_order(groups):
+def lowest_order(grouped):
     """The lowest r with a nonzero t^r coefficient, else None.
 
     That is the least multiplicity of the root y = 1 over the nonzero
@@ -101,7 +101,7 @@ def lowest_order(groups):
     kernel it tests every order, even ones too.
     """
     least = None
-    for q in groups:
+    for q in grouped:
         if not any(q):
             continue
         r = 0
