@@ -47,9 +47,10 @@ ELEMENT_NAMES = ("1", "A1", "s12(A1)", "A2", "s12(A2)", "Delta^(2m+1)")
 # Largest m whose independence modulo the ideal part is certified: the
 # exact ranks behind the certificate grow quickly with m, mostly the
 # antisymmetric slices of degree 6m..6m+2.  On a 2-vCPU host with
-# Python 3.11.7, `basis --m 8 --verify full` took 4.8-5.1 s and m = 9
-# took 9.9-10.8 s.  Above it the verdicts read None (skipped); changing
-# it changes the CLI verdicts.
+# Python 3.11.7, `basis --m 8 --verify full` took 3.6-4.2 s and m = 9,
+# with the budget raised to 9, took 8.9-12.4 s (six fresh processes
+# each; the host's speed drifted between them).  Above it the verdicts
+# read None (skipped); changing it changes the CLI verdicts.
 IDEAL_BUDGET = 8
 
 

@@ -25,7 +25,8 @@ Conventions, fixed once here and relied on everywhere else:
   vector from the integer rows; det_exact and rank stop at echelon form,
   and det_exact forms one Fraction at the end from the diagonal and
   plain-int bookkeeping: the swap count, the gcds divided out, the pivot
-  powers and the row scales.
+  powers and the row scales.  An all-int row is taken as it is; only a
+  row with a non-int entry is scaled, by the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -180,23 +181,26 @@ def diagonal_blocks(sys: CoeffSystem):
 
 
 def _eliminate(matrix, reduced: bool):
-    """The one elimination loop, on the rows scaled to integers by the
-    lcm of their denominators.  First-nonzero pivoting; a row nonzero in
-    the pivot column becomes row * pivot - factor * pivot_row divided by
-    its gcd.  reduced clears every other row (Gauss-Jordan), otherwise
-    only those below the pivot (echelon form).
+    """The one elimination loop, on integer rows: an all-int row is used
+    as it is (never modified), and only a row with a non-int entry is
+    scaled to integers by the lcm of its denominators.  First-nonzero
+    pivoting; a row nonzero in the pivot column becomes
+    row * pivot - factor * pivot_row divided by its gcd.  reduced clears
+    every other row (Gauss-Jordan), otherwise only those below the pivot
+    (echelon form).
 
     Returns (rows, pivot_cols, swaps, gcds, divisors).  Scaling a row
-    and clearing one multiply the determinant: divisors holds the row
-    scales and one pivot**k per pivot column that cleared k rows; gcds
-    holds the gcds divided out.  So a square input of full rank has
-    det = (-1)^swaps * diagonal * prod(gcds) / prod(divisors).
+    and clearing one multiply the determinant: divisors holds the scales
+    of the scaled rows and one pivot**k per pivot column that cleared k
+    rows; gcds holds the gcds divided out.  So a square input of full
+    rank has det = (-1)^swaps * diagonal * prod(gcds) / prod(divisors).
     """
     rows, divisors, gcds = [], [], []
     for row in matrix:
-        scale, ints = integer_scaled(row)
-        rows.append(ints)
-        divisors.append(scale)
+        if not all(map(int.__instancecheck__, row)):  # a non-int entry
+            scale, row = integer_scaled(row)
+            divisors.append(scale)
+        rows.append(row)
     n = len(rows)
     pivots = []
     swaps = r = 0

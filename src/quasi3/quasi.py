@@ -19,11 +19,14 @@ is_quasiinvariant is the one public divisibility search; each
 TranspositionCheck.largest_power it reports is the largest dividing
 power of (1 - s_ij) P.
 
-Parity prunes the orders of the slice rows.  s_ij sends t to -t, so a
-polynomial that s_ij negates, such as (1 - s_ij) P, has its lowest
-nonzero Taylor order odd, and one that s_ij fixes has it even; the
-graded-slice rows (_taylor_rows) build only those orders, as the
-constraint rows (k, l) of linsys.system_rows keep only odd l.
+The graded-slice rows (_taylor_rows) come from one closed form.  With
+x_i = x_j + t, a term num x_i^p x_j^q x_k^e of an unknown P adds
+num (binom(p, r) - binom(q, r)) to the t^r coefficient of (1 - s_ij) P,
+at the monomial x_j^(p+q-r) x_k^e.  s_ij sends t to -t and negates
+(1 - s_ij) P, so its lowest nonzero order is odd: only the odd orders
+r < 2m + 1 are built, as the constraint rows (k, l) of
+linsys.system_rows keep only odd l, and none above the degree: no
+exponent exceeds it, and past the largest exponent every binomial is 0.
 
 The module also provides the degree-d slice of the m-quasiinvariant ring
 (graded_qi_basis), independence modulo the part of the slice generated
@@ -41,6 +44,7 @@ it, and independent_modulo_ideal on the certificate.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations
@@ -56,36 +60,6 @@ from .poly import (
     Polynomial,
     elementary,
 )
-
-
-def _difference(terms, i: int, j: int):
-    """(1 - s_ij) P on integer terms, with the cancelled terms dropped."""
-    diff = {}
-    for exp, num in terms:
-        swapped = list(exp)
-        swapped[i - 1], swapped[j - 1] = exp[j - 1], exp[i - 1]
-        swapped = tuple(swapped)
-        diff[exp] = diff.get(exp, 0) + num
-        diff[swapped] = diff.get(swapped, 0) - num
-    return [(exp, num) for exp, num in diff.items() if num]
-
-
-def _shift_coefficient(terms, i: int, j: int, r: int):
-    """Numerators of the t^r coefficient of P with x_i = x_j + t.
-
-    x_i^a = sum_r binom(a, r) x_j^(a-r) t^r, so only terms with a >= r
-    contribute; zero sums are kept.
-    """
-    out = {}
-    for exp, num in terms:
-        a = exp[i - 1]
-        if a >= r:
-            shifted = list(exp)
-            shifted[i - 1] = 0
-            shifted[j - 1] += a - r
-            key = tuple(shifted)
-            out[key] = out.get(key, 0) + num * comb(a, r)
-    return out
 
 
 def _dividing_powers(nums):
@@ -218,42 +192,43 @@ def monomials_of_degree(d: int):
     ]
 
 
-def _taylor_rows(columns, orders):
-    """(rows, ncols): the Taylor conditions on ncols unknown coefficients,
-    as integer rows.
+def _taylor_rows(pairs, unknowns, m: int):
+    """Integer rows saying that a combination of the unknowns passes the
+    m-quasiinvariance test of every pair (i, j) in pairs.
 
-    columns maps a pair (i, j) to one integer-term list per unknown.  The
-    rows say that the coefficients of t^r, r in orders, vanish, with
-    x_i = x_j + t, in the combination of those term lists; there is one
-    row per (pair, r, monomial), built on integers.  r stops at the
-    largest x_i power, past which no t^r coefficient survives; an empty
-    term list (an unknown the pair's operator kills) adds to no row.
-
-    The callers pass one parity of orders only.  When every combination
-    is negated by s_ij its lowest nonzero order is odd, and when every one
-    is fixed by s_ij it is even, so the orders of the other parity add no
-    condition and the solutions are those of all orders (the same parity
-    fact keeps only odd l in linsys.system_rows).
+    unknowns holds one integer-term list per unknown coefficient, all of
+    one degree, so a row is fixed by (pair, r, e): the t^r coefficient, at
+    x_j^(p+q-r) x_k^e, of (1 - s_ij) applied to the combination, with
+    x_i = x_j + t.  A term num x_i^p x_j^q x_k^e adds
+    num (binom(p, r) - binom(q, r)) to it, read from this call's binomial
+    table; a term with p = q, which s_ij fixes, adds to no row.  r runs
+    over the odd orders below 2m + 1 (see the module docstring), capped
+    at the degree: no exponent is larger, and past the largest exponent
+    every binomial is 0, so the table stays small however large m is.
+    Rows come by pair, then r ascending, then x3 exponent descending: e
+    descending for the pair (1, 2) and ascending for the others, whose x3
+    exponent is p + q - r.
     """
-    ncols = len(next(iter(columns.values())))
-    row_map = {}
-    for (i, j), unknowns in columns.items():
+    degree = sum(unknowns[0][0][0]) if unknowns else 0
+    orders = range(1, min(2 * m, degree + 1), 2)
+    C = [[comb(n, r) for r in orders] for n in range(degree + 1)]
+    ncols = len(unknowns)
+    row_map = defaultdict(lambda: [0] * ncols)
+    for i, j in pairs:
+        k = 6 - i - j
+        sign = -1 if k == 3 else 1  # x3 exponent descending
         for pos, terms in enumerate(unknowns):
-            top = max((exp[i - 1] for exp, _ in terms), default=-1)
-            for r in orders:
-                if r > top:
-                    break
-                for exp, num in _shift_coefficient(terms, i, j, r).items():
-                    if num:
-                        key = ((i, j), r, exp)
-                        row_map.setdefault(key, [0] * ncols)[pos] += num
-    return [row_map[key] for key in sorted(row_map)], ncols
+            for exp, num in terms:
+                e = sign * exp[k - 1]
+                for r, cp, cq in zip(orders, C[exp[i - 1]], C[exp[j - 1]]):
+                    if cp != cq:
+                        row_map[i, j, r, e][pos] += num * (cp - cq)
+    return [row_map[key] for key in sorted(row_map)]
 
 
-def _solution_count(columns, orders) -> int:
-    """Dimension of that null space: unknowns minus the integer rank."""
-    rows, ncols = _taylor_rows(columns, orders)
-    return ncols - rank(rows)
+def _solution_count(unknowns, m: int) -> int:
+    """Unknowns minus the integer rank of their rows for the pair (1, 2)."""
+    return len(unknowns) - rank(_taylor_rows(((1, 2),), unknowns, m))
 
 
 def graded_qi_basis(m: int, d: int):
@@ -263,21 +238,17 @@ def graded_qi_basis(m: int, d: int):
     in (1 - s_ij) P with x_i = x_j + t vanish" over the degree-d
     monomial coefficients, and returns the null space as polynomials,
     each scaled so its first nonzero coefficient in canonical monomial
-    order is 1.  For a monomial P, (1 - s_ij) P is P minus P with the
-    exponents of x_i and x_j swapped, so every row entry is an integer.
-    s_ij negates (1 - s_ij) P, so only the odd orders r < 2m + 1 are
-    built (see _taylor_rows).
+    order is 1.  Each unknown is one monomial, so every row entry is an
+    integer, and only the odd orders r < 2m + 1 are built (see
+    _taylor_rows).
     """
     if m < 0 or d < 0:
         raise ValueError("m and d must be nonnegative")
     monos = monomials_of_degree(d)
-    columns = {
-        (i, j): [_difference([(mono, 1)], i, j) for mono in monos]
-        for i, j in TRANSPOSITIONS
-    }
+    rows = _taylor_rows(TRANSPOSITIONS, [[(mono, 1)] for mono in monos], m)
     return [
         Polynomial({monos[pos]: c for pos, c in enumerate(v) if c})
-        for v in nullspace_vectors(*_taylor_rows(columns, range(1, 2 * m + 1, 2)))
+        for v in nullspace_vectors(rows, len(monos))
     ]
 
 
@@ -330,16 +301,15 @@ def _s23_fixed_count(m: int, d: int) -> int:
     x1^a (x2^b x3^c + x2^c x3^b), b >= c (x1^a x2^b x3^b once when b = c).
 
     For s23-fixed P, (1 - s23) P = 0 and (1 - s13) P = s23 (1 - s12) P,
-    so the pair (1, 2) gives every condition.  s12 negates (1 - s12) P,
-    so only the odd orders below 2m + 1 are built.  The term list of
-    x1^a x2^a x3^a, which s12 fixes, is empty.
+    so the pair (1, 2) gives every condition.  x1^a x2^a x3^a, which s12
+    fixes, adds to no row.
     """
     unknowns = [
-        _difference([(exp, 1) for exp in {(a, b, c), (a, c, b)}], 1, 2)
+        [(exp, 1) for exp in {(a, b, c), (a, c, b)}]
         for a, b, c in monomials_of_degree(d)
         if b >= c
     ]
-    return _solution_count({(1, 2): unknowns}, range(1, 2 * m + 1, 2))
+    return _solution_count(unknowns, m)
 
 
 def qi_dimension(m: int, d: int) -> int:
@@ -378,15 +348,23 @@ def _alternating_count(m: int, d: int) -> int:
     Delta^(2m+1) Sym (Feigin-Veselov) is never assumed.
 
     f is written in the monomial symmetric functions m_lambda, lambda a
-    partition of d - 3 into at most three parts, and the rows are the
-    coefficients of t^0 .. t^(2m-1) of f with x1 = x2 + t.  f is
-    symmetric, so only the even orders are built (see _taylor_rows).
+    partition of d - 3 into at most three parts.  The unknowns are the
+    (x1 - x2) m_lambda, so that _taylor_rows serves this slice too: f is
+    s12-fixed, so (1 - s12)((x1 - x2) f) = 2 (x1 - x2) f, and with
+    x1 = x2 + t, where x1 - x2 = t, its t^r coefficient is twice the
+    t^(r-1) coefficient of f.  The rows at the odd orders r < 2m + 1 are
+    thus twice those of f at the orders 0, 2, .., 2m - 2; f's odd orders
+    add nothing, since f is s12-fixed and its lowest order is even.
     Below degree 3 there is no partition of d - 3, so no unknown.
     """
-    unknowns = [
-        [(exp, 1) for exp in set(permutations(lam))] for lam in _partitions3(d - 3)
-    ]
-    return _solution_count({(1, 2): unknowns}, range(0, 2 * m, 2))
+    unknowns = []
+    for lam in _partitions3(d - 3):
+        orbit = set(permutations(lam))
+        unknowns.append(
+            [((a + 1, b, c), 1) for a, b, c in orbit]
+            + [((a, b + 1, c), -1) for a, b, c in orbit]
+        )
+    return _solution_count(unknowns, m)
 
 
 def quotient_degrees(m: int):

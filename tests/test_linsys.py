@@ -244,9 +244,40 @@ def test_det_exact_edge_cases():
 
 def test_det_exact_does_not_mutate_input():
     for solve in (det_exact, rank, lambda matrix: nullspace_vectors(matrix, 2)):
-        entries = [[1, 2], [3, Fraction(4, 3)]]
-        solve(entries)
-        assert entries == [[1, 2], [3, Fraction(4, 3)]]
+        for original in ([[1, 2], [3, Fraction(4, 3)]], [[0, 2], [3, 4]]):
+            entries = [row[:] for row in original]
+            solve(entries)
+            assert entries == original
+
+
+def test_int_fraction_and_scaled_rows_agree():
+    """_eliminate takes an all-int row as it is and scales only a row with
+    a non-int entry.  200 seeded square matrices of sizes 1 to 6, each
+    as ints, with every entry a Fraction, and as ints with one row
+    divided by k, its entries left int where k divides them and at least
+    one a true non-integer Fraction: det_exact, rank and
+    nullspace_vectors agree, the last determinant times k."""
+    rng = random.Random(2028)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        ints = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(n)] for _ in range(n)]
+        if n > 2 and rng.random() < 0.3:  # a dependent row
+            ints[0] = [x - y for x, y in zip(ints[1], ints[2])]
+        r, c, k = rng.randrange(n), rng.randrange(n), rng.randint(2, 5)
+        if ints[r][c] % k == 0:
+            ints[r][c] += 1
+        fractions = [[Fraction(x) for x in row] for row in ints]
+        scaled = [row[:] for row in ints]
+        scaled[r] = [x // k if x % k == 0 else Fraction(x, k) for x in ints[r]]
+        assert type(scaled[r][c]) is Fraction
+        det = det_exact(ints)
+        assert type(det) is Fraction and det == det_bareiss(ints)
+        assert det_exact(fractions) == det
+        assert det_exact(scaled) * k == det
+        assert rank(ints) == rank(fractions) == rank(scaled)
+        vectors = nullspace_vectors(ints, n)
+        assert nullspace_vectors(fractions, n) == vectors
+        assert nullspace_vectors(scaled, n) == vectors
 
 
 def test_rank_and_rref():

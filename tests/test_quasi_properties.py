@@ -5,6 +5,7 @@ for independence modulo the ideal part against a two-rank oracle."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations, product
+from math import comb
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,11 +27,13 @@ from quasi3.quasi import (
     qi_dimension,
     quotient_degrees,
 )
+from quasi3 import quasi
 from quasi3.quasi import (
     _alternating_count,
     _dividing_powers,
+    _partitions3,
     _s23_fixed_count,
-    _shift_coefficient,
+    _taylor_rows,
 )
 
 ORDERED_PAIRS = ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2))
@@ -122,14 +125,33 @@ def largest_dividing_power(P: Polynomial, i: int, j: int):
     return lowest_order(groups(integer_terms(P)[1], i, j))
 
 
+def shift_coefficient(terms, i: int, j: int, r: int):
+    """Numerators of the t^r coefficient of P with x_i = x_j + t.
+
+    x_i^a = sum_r binom(a, r) x_j^(a-r) t^r, so only terms with a >= r
+    contribute; zero sums are kept.
+    """
+    out = {}
+    for exp, num in terms:
+        a = exp[i - 1]
+        if a >= r:
+            shifted = list(exp)
+            shifted[i - 1] = 0
+            shifted[j - 1] += a - r
+            key = tuple(shifted)
+            out[key] = out.get(key, 0) + num * comb(a, r)
+    return out
+
+
 def taylor_coefficients(P: Polynomial, i: int, j: int, count: int):
     """Coefficients c_0 .. c_(count-1) of P expanded in t = x_i - x_j.
 
     Substituting x_i = x_j + t writes P = sum_r c_r (x_i - x_j)^r with
     every c_r free of x_i, so (x_i - x_j)^p divides P exactly when
-    c_0 .. c_(p-1) all vanish.  Built on the integer shift kernel behind
-    the graded-slice rows; the tests rebuild P from the c_r by
-    Polynomial arithmetic, which checks that kernel independently.
+    c_0 .. c_(p-1) all vanish.  Built on shift_coefficient, the
+    per-order shift behind the oracle slice rows (per_order_rows); the
+    tests rebuild P from the c_r by Polynomial arithmetic, which checks
+    that kernel independently.
     """
     check_pair(i, j)
     if count < 0:
@@ -137,7 +159,7 @@ def taylor_coefficients(P: Polynomial, i: int, j: int, count: int):
     den, terms = integer_terms(P)
     return [
         Polynomial(
-            {k: Fraction(v, den) for k, v in _shift_coefficient(terms, i, j, r).items()}
+            {k: Fraction(v, den) for k, v in shift_coefficient(terms, i, j, r).items()}
         )
         for r in range(count)
     ]
@@ -188,7 +210,7 @@ def lowest_shift_order(P, i, j):
         (
             r
             for r in range(P.var_degree(i) + 1)
-            if any(_shift_coefficient(terms, i, j, r).values())
+            if any(shift_coefficient(terms, i, j, r).values())
         ),
         None,
     )
@@ -436,3 +458,91 @@ def test_s23_fixed_count_matches_symmetrised_full_slices():
         for d in range(6 * m + 6):
             fixed = [(P + P.apply_perm(s23)) * Fraction(1, 2) for P in slice_basis(m, d)]
             assert _s23_fixed_count(m, d) == rank(coefficient_rows(fixed, d)), (m, d)
+
+
+def difference(terms, i: int, j: int):
+    """(1 - s_ij) P on integer terms, with the cancelled terms dropped."""
+    diff = {}
+    for exp, num in terms:
+        swapped = list(exp)
+        swapped[i - 1], swapped[j - 1] = exp[j - 1], exp[i - 1]
+        swapped = tuple(swapped)
+        diff[exp] = diff.get(exp, 0) + num
+        diff[swapped] = diff.get(swapped, 0) - num
+    return [(exp, num) for exp, num in diff.items() if num]
+
+
+def per_order_rows(columns, orders):
+    """The slice rows built one order at a time: columns maps a pair to one
+    term list per unknown, with (1 - s_ij) already applied where the
+    system needs it; one row per (pair, r, shifted monomial), sorted."""
+    ncols = len(next(iter(columns.values())))
+    row_map = {}
+    for (i, j), unknowns in columns.items():
+        for pos, terms in enumerate(unknowns):
+            for r in orders:
+                for exp, num in shift_coefficient(terms, i, j, r).items():
+                    if num:
+                        row_map.setdefault(((i, j), r, exp), [0] * ncols)[pos] += num
+    return [row_map[key] for key in sorted(row_map)]
+
+
+def per_order_systems(m, d):
+    """(rows, ncols) of the full, s23-fixed and alternating slices, the
+    first two on (1 - s_ij) of their unknowns at odd orders below 2m + 1,
+    the last on the m_lambda themselves at even orders below 2m."""
+    monos = monomials_of_degree(d)
+    odd = range(1, 2 * m + 1, 2)
+    full = {pair: [difference([(mono, 1)], *pair) for mono in monos] for pair in TRANSPOSITIONS}
+    fixed = [
+        difference([(exp, 1) for exp in {(a, b, c), (a, c, b)}], 1, 2)
+        for a, b, c in monos
+        if b >= c
+    ]
+    sym = [[(exp, 1) for exp in set(permutations(lam))] for lam in _partitions3(d - 3)]
+    return [
+        (per_order_rows(full, odd), len(monos)),
+        (per_order_rows({(1, 2): fixed}, odd), len(fixed)),
+        (per_order_rows({(1, 2): sym}, range(0, 2 * m, 2)), len(sym)),
+    ]
+
+
+def test_closed_form_rows_match_per_order_rows(monkeypatch):
+    """The systems graded_qi_basis, _s23_fixed_count and
+    _alternating_count solve, caught at _taylor_rows, against the
+    per-order route: the same rows in the same order (twice the rows of
+    the m_lambda for the alternating slice), so the same rank and null
+    space."""
+    built = []
+
+    def spy(pairs, unknowns, m):
+        rows = _taylor_rows(pairs, unknowns, m)
+        built.append((rows, len(unknowns)))
+        return rows
+
+    monkeypatch.setattr(quasi, "_taylor_rows", spy)
+    for m in range(5):
+        for d in range(3 * m + 5):
+            built.clear()
+            quasi.graded_qi_basis(m, d)
+            quasi._s23_fixed_count(m, d)
+            quasi._alternating_count(m, d)
+            assert len(built) == 3
+            for scale, (rows, ncols), (old, old_ncols) in zip(
+                (1, 1, 2), built, per_order_systems(m, d)
+            ):
+                assert ncols == old_ncols, (m, d)
+                assert rows == [[scale * x for x in row] for row in old], (m, d)
+                assert rank(rows) == rank(old), (m, d)
+                assert nullspace_vectors(rows, ncols) == nullspace_vectors(old, ncols), (m, d)
+
+
+def test_row_orders_stop_at_the_degree():
+    """(1 - s12) x1^6 with x1 = x2 + t has t^r coefficient binom(6, r) at
+    x2^(6-r); past order 5 there is none, however large m is, and no
+    table of m orders is built."""
+    unknowns = [[((6, 0, 0), 1)]]
+    assert _taylor_rows(((1, 2),), unknowns, 2) == [[6], [20]]
+    assert _taylor_rows(((1, 2),), unknowns, 3) == [[6], [20], [6]]
+    assert _taylor_rows(((1, 2),), unknowns, 10**9) == [[6], [20], [6]]
+    assert qi_dimension(10**9, 6) == len(_partitions3(6))
