@@ -4,13 +4,12 @@ Python integers are arbitrary precision and fractions.Fraction is always
 stored in lowest terms with a positive denominator, so the two built-in
 types serve directly as the exact integer and rational scalars.  What this
 module adds is the binomial-coefficient convention used throughout the
-difference formulas, integer scaling, and the string form of a rational;
-poly's readers parse coefficient text into int numerators themselves.
+difference formulas and integer scaling; poly reads and writes
+coefficient text itself.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, lcm
 
 
@@ -32,8 +31,3 @@ def integer_scaled(values):
     if den == 1:
         return den, [x.numerator for x in values]
     return den, [x.numerator * (den // x.denominator) for x in values]
-
-
-def rational_to_str(value) -> str:
-    """Render an exact rational as "num" or "num/den" with den > 0."""
-    return str(Fraction(value))

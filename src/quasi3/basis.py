@@ -263,13 +263,6 @@ def build_basis(m: int, verify: str = "full") -> BasisReport:
 # --- display ---------------------------------------------------------------
 
 
-def _latex_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "{%d \\over %d}" % (value.numerator, value.denominator)
-
-
 def _latex_monomial(exp) -> str:
     parts = []
     for idx, e in enumerate(exp):
@@ -280,23 +273,25 @@ def _latex_monomial(exp) -> str:
     return "".join(parts)
 
 
-def _latex_coeff_prefix(coeff: Fraction, leading: bool) -> str:
-    mag = abs(coeff)
-    sign = "-" if coeff < 0 else ("" if leading else "+")
-    body = "" if mag == 1 else _latex_rational(mag)
+def _latex_coeff_prefix(coeff: str, leading: bool) -> str:
+    """A json_terms coefficient text's sign, then its magnitude unless 1."""
+    mag = coeff.lstrip("-")
+    sign = "-" if mag != coeff else ("" if leading else "+")
+    num, slash, den = mag.partition("/")
+    body = "" if mag == "1" else ("{%s \\over %s}" % (num, den) if slash else num)
     return sign + (" " if sign and not leading else "") + body
 
 
 def _sym_groups(P: Polynomial):
     """Split an s23-invariant polynomial into x1-power times m_[i,j] pieces.
 
-    Returns a list of (x1 power, i, j, coefficient), ordered by descending
-    x1 power then ascending (i, j); None when P is not s23-invariant.
+    Returns (x1 power, i, j, coefficient text) tuples, by descending x1
+    power then ascending (i, j); None when P is not s23-invariant.
     """
     if P.apply_perm(S23) != P:
         return None
     # one exponent per s23 orbit {(a, b, c), (a, c, b)}: the one with b >= c
-    groups = [(a, b, c, coeff) for (a, b, c), coeff in P.terms.items() if b >= c]
+    groups = [(a, b, c, coeff) for (a, b, c), coeff in P.json_terms() if b >= c]
     groups.sort(key=lambda g: (-g[0], g[1], g[2]))
     return groups
 
@@ -321,7 +316,7 @@ def poly_to_latex(P: Polynomial) -> str:
                 body = f"{x1}({_latex_monomial((0, i, j))} + {_latex_monomial((0, j, i))})"
             parts.append(prefix + body)
         return " ".join(parts)
-    for pos, (exp, coeff) in enumerate(P.sorted_terms()):
+    for pos, (exp, coeff) in enumerate(P.json_terms()):
         prefix = _latex_coeff_prefix(coeff, pos == 0)
         body = _latex_monomial(exp) or "1"
         parts.append(prefix + body)

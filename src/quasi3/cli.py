@@ -19,7 +19,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 
 from . import acceptance, basis, group_ops, linsys, paths, quasi
-from .arith import rational_to_str
 from .poly import Polynomial, parse_poly
 
 OK, MATH_FAIL, USAGE = 0, 1, 2
@@ -119,9 +118,12 @@ def _read_poly_file(path: str) -> Polynomial:
         raise ValueError(f"polynomial file {path!r} is empty")
     if stripped.startswith("["):
         try:
-            return Polynomial.from_json_obj(json.loads(stripped))
+            obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed polynomial JSON in {path!r}: {exc}")
+        except RecursionError:
+            raise ValueError(f"malformed polynomial JSON in {path!r}: nested too deeply")
+        return Polynomial.from_json_obj(obj)
     return parse_poly(stripped)
 
 
@@ -152,7 +154,7 @@ def cmd_basis(args) -> int:
             "null_vectors": {
                 name: {
                     "columns": [list(c) for c in labels],
-                    "coefficients": [rational_to_str(x) for x in vec],
+                    "coefficients": [str(x) for x in vec],
                 }
                 for name, (labels, vec) in null_vectors
             },
@@ -174,7 +176,7 @@ def cmd_basis(args) -> int:
         for name, (labels, vec) in null_vectors:
             print(
                 f"null vector {name}:",
-                ", ".join(f"C{list(l)}={rational_to_str(v)}" for l, v in zip(labels, vec)),
+                ", ".join(f"C{list(l)}={v}" for l, v in zip(labels, vec)),
             )
         print(f"degrees ok: {report.degrees_ok}")
         if report.verify in ("quasi", "full"):

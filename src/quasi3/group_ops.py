@@ -75,11 +75,13 @@ class GroupAlgebraElement(Combination):
         return f"GroupAlgebraElement({' + '.join(parts)})"
 
     def apply(self, P: Polynomial) -> Polynomial:
-        """Act on a polynomial: sum of coeff * (permuted P)."""
-        out = Polynomial.zero()
-        for perm, c in self.terms.items():
-            out = out + P.apply_perm(perm) * c
-        return out
+        """Act on a polynomial: sum of coeff * (permuted P), as numerators
+        over self.den * P.den."""
+        out = {}
+        for perm, c in self.nums.items():
+            for key, num in P.apply_perm(perm).nums.items():
+                out[key] = out.get(key, 0) + c * num
+        return Polynomial._reduced(self.den * P.den, out)
 
 
 def make_element(name: str) -> GroupAlgebraElement:

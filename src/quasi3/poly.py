@@ -3,16 +3,17 @@
 A polynomial is integer-native: a positive common denominator den and a
 dict nums from exponent triples (a, b, c) to nonzero int numerators, the
 coefficient of x1^a x2^b x3^c being nums[(a, b, c)] / den, in the
-canonical form gcd(den, every numerator) = 1.  terms views the same
-coefficients as Fractions, for display and the public API.  The
-canonical term order used for serialization and normalization is graded
-lexicographic, highest first.
+canonical form gcd(den, every numerator) = 1.  terms is the public
+Fraction view of the same coefficients.  Every writer (text, LaTeX, JSON)
+reads json_terms: the terms in canonical order, graded lexicographic,
+highest first, each with its coefficient text in lowest terms.
 
 The sparse rational arithmetic lives in the base class Combination,
 shared with group_ops.GroupAlgebraElement; each subclass checks its own
 keys and defines its own product.  The readers (parse_poly,
 Polynomial.from_json_obj) and the kernels work on the numerators and
-hand them to the trusted constructor _reduced, which checks no key.
+hand them to the trusted constructor _reduced, which checks no key;
+the public constructor takes only int and Fraction coefficients.
 
 Permutations are image tuples (sigma(1), sigma(2), sigma(3)).  A
 permutation acts on polynomials by substituting x_i -> x_{sigma(i)}, so
@@ -25,8 +26,6 @@ import re
 from fractions import Fraction
 from itertools import permutations
 from math import comb, gcd, lcm
-
-from .arith import rational_to_str
 
 Exponent = tuple  # (a, b, c), nonnegative ints
 Permutation = tuple  # (sigma(1), sigma(2), sigma(3))
@@ -54,11 +53,6 @@ def term_key(exp: Exponent):
 
 
 def _check_exponent(exp) -> Exponent:
-    # fast path: a tuple of three non-negative ints, as products and parsing make
-    if type(exp) is tuple and len(exp) == 3:
-        a, b, c = exp
-        if type(a) is type(b) is type(c) is int and a >= 0 and b >= 0 and c >= 0:
-            return exp
     exp = tuple(exp)
     if len(exp) != 3 or any(type(e) is not int or e < 0 for e in exp):
         raise ValueError(f"bad exponent triple: {exp!r}")
@@ -77,15 +71,15 @@ class Combination:
     __slots__ = ("den", "nums")
 
     def __init__(self, terms=None):
-        """From a mapping of keys to ints, Fractions or anything Fraction
-        takes; zero coefficients are dropped, the other keys checked."""
+        """From a mapping of keys to int or Fraction coefficients; zero
+        coefficients are dropped, the other keys checked.  Any other
+        coefficient, a float, str, Decimal or bool among them, is refused."""
         clean = {}
-        if terms:
-            for key, coeff in dict(terms).items():
-                if type(coeff) is not int and not isinstance(coeff, Fraction):
-                    coeff = Fraction(coeff)
-                if coeff:
-                    clean[self._check_key(key)] = coeff
+        for key, coeff in dict(terms or ()).items():
+            if type(coeff) is not int and not isinstance(coeff, Fraction):
+                raise ValueError(f"coefficient {coeff!r} of {key!r} is not an int or Fraction")
+            if coeff:
+                clean[self._check_key(key)] = coeff
         # over the lcm of lowest-terms denominators the gcd is already 1
         den = lcm(*[c.denominator for c in clean.values()])
         object.__setattr__(self, "den", den)
@@ -192,7 +186,7 @@ class Polynomial(Combination):
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        return cls({(0, 0, 0): Fraction(c)})
+        return cls({(0, 0, 0): c})
 
     @classmethod
     def variable(cls, i: int) -> "Polynomial":
@@ -219,10 +213,6 @@ class Polynomial(Combination):
 
     def coefficient(self, exp) -> Fraction:
         return Fraction(self.nums.get(tuple(exp), 0), self.den)
-
-    def sorted_terms(self):
-        """Terms in canonical order: graded lex, highest first."""
-        return sorted(self.terms.items(), key=lambda t: term_key(t[0]), reverse=True)
 
     def apply_perm(self, sigma: Permutation) -> "Polynomial":
         """Substitute x_i -> x_{sigma(i)} in every monomial."""
@@ -415,11 +405,11 @@ def parse_poly(text: str) -> Polynomial:
 def format_poly(P: Polynomial) -> str:
     """Canonical plain-text form; parse_poly(format_poly(P)) == P."""
     parts = []
-    for exp, coeff in P.sorted_terms():
+    for exp, coeff in P.json_terms():
         factors = [f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exp, 1) if e]
-        mag = abs(coeff)
-        if mag != 1 or not factors:
-            factors.insert(0, rational_to_str(mag))
-        parts.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
+        lead, mag = ("- ", coeff[1:]) if coeff[0] == "-" else ("+ ", coeff)
+        if mag != "1" or not factors:
+            factors.insert(0, mag)
+        parts.append(lead + "*".join(factors))
     text = " ".join(parts)  # "+ x1 - 2*x2": the first sign loses its space
     return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]

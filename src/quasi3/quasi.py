@@ -62,6 +62,13 @@ from .poly import (
 )
 
 
+# The most dense group entries _dividing_powers allocates for one polynomial,
+# over all three pairs; a group of x_i^a x_j^b holds a + b + 1.  At 1,048,010
+# entries (x1^524000*x2 + x3) `check` peaks 32 MB higher (Python 3.11, x86-64);
+# Delta^57, the largest element at linsys.MAX_ORDER, needs 39,675.
+MAX_GROUP_ENTRIES = 2**20
+
+
 def _dividing_powers(nums):
     """Largest p with (x_i - x_j)^p | (1 - s_ij) P for the pairs in
     TRANSPOSITIONS order, None where the difference is zero, from P.nums.
@@ -76,15 +83,28 @@ def _dividing_powers(nums):
     """
     # per pair (i, j): (a_i + a_j, a_k) -> the group's list, indexed by a_i
     g12, g13, g23 = groups = {}, {}, {}
+    size = 0
+
+    def new_group(g, key, s):  # checks the running size before allocating
+        nonlocal size
+        size += s + 1
+        if size > MAX_GROUP_ENTRIES:
+            raise ValueError(
+                f"divisibility search needs at least {size} dense entries,"
+                f" more than the limit of {MAX_GROUP_ENTRIES}"
+            )
+        g[key] = q = [0] * (s + 1)
+        return q
+
     for (a, b, c), num in nums.items():
         s = a + b
-        q = g12.get((s, c)) or g12.setdefault((s, c), [0] * (s + 1))
+        q = g12.get((s, c)) or new_group(g12, (s, c), s)
         q[a] = num
         s = a + c
-        q = g13.get((s, b)) or g13.setdefault((s, b), [0] * (s + 1))
+        q = g13.get((s, b)) or new_group(g13, (s, b), s)
         q[a] = num
         s = b + c
-        q = g23.get((s, a)) or g23.setdefault((s, a), [0] * (s + 1))
+        q = g23.get((s, a)) or new_group(g23, (s, a), s)
         q[b] = num
     powers = []
     for g in groups:
@@ -157,27 +177,19 @@ def coinvariant_nf(P: Polynomial):
     x3^3 -> 0, to a fixed point; the result is the coordinate tuple with
     respect to (1, x2, x3, x2x3, x3^2, x2x3^2).
     """
-    work = {}
-
-    def _add(key, value):
-        work[key] = work.get(key, 0) + value
-
-    for (a, b, c), coeff in P.terms.items():
+    work = defaultdict(int)  # P.den times the coefficients
+    for (a, b, c), num in P.nums.items():
         # substitute x1^a = (-(x2 + x3))^a
         for t in range(a + 1):
-            _add((b + t, c + a - t), coeff * (-1) ** a * comb(a, t))
-    # eliminate x2 powers >= 2, then x3 powers >= 3
-    while True:
-        offender = next((key for key in work if key[0] >= 2), None)
-        if offender is None:
-            break
+            work[b + t, c + a - t] += num * (-1) ** a * comb(a, t)
+    # eliminate x2 powers >= 2; x3 powers >= 3 are 0, and reading only the
+    # basis keys drops them
+    while (offender := next((key for key in work if key[0] >= 2), None)) is not None:
         b, c = offender
-        coeff = work.pop(offender)
-        _add((b - 1, c + 1), -coeff)
-        _add((b - 2, c + 2), -coeff)
-    for key in [k for k in work if k[1] >= 3]:
-        del work[key]
-    return tuple(work.get(key, Fraction(0)) for key in COINVARIANT_BASIS)
+        num = work.pop(offender)
+        work[b - 1, c + 1] -= num
+        work[b - 2, c + 2] -= num
+    return tuple(Fraction(work.get(key, 0), P.den) for key in COINVARIANT_BASIS)
 
 
 # --- graded slices ----------------------------------------------------------

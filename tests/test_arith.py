@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasi3.arith import binom, integer_scaled, rational_to_str
+from quasi3.arith import binom, integer_scaled
 from quasi3.poly import Polynomial
 
 _RAT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
@@ -48,19 +48,9 @@ def test_binom_edge_values():
     assert binom(7, 7) == 1
 
 
-def test_rational_round_trip():
-    for text in ("0", "5", "-5", "3/4", "-3/4", "22/7"):
-        assert rational_to_str(rational_from_str(text)) == text
-
-
 def test_rational_from_str_normalizes():
     assert rational_from_str("4/8") == Fraction(1, 2)
     assert rational_from_str("+6") == Fraction(6)
-
-
-def test_rational_to_str_hides_unit_denominator():
-    assert rational_to_str(Fraction(8, 4)) == "2"
-    assert rational_to_str(Fraction(-1, 3)) == "-1/3"
 
 
 @pytest.mark.parametrize("bad", ["", "1/0", "1.5", "a/b", "1/2/3", "2 /3"])

@@ -68,7 +68,7 @@ def test_ansatz_exponent_shape():
         by_name = built(m)
         for name, d in (("A1", 3 * m + 1), ("A2", 3 * m + 2)):
             P = by_name[name]
-            for (e1, e2, e3), _ in P.sorted_terms():
+            for e1, e2, e3 in P.nums:
                 assert e1 + e2 + e3 == d
                 assert e2 <= m and e3 <= m
                 assert e1 >= d - 2 * m

@@ -156,6 +156,39 @@ def test_check_malformed_json_term_is_usage_error(tmp_path, capsys, body):
     assert err.startswith("error:")
 
 
+def test_check_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "poly.json"
+    target.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "check", "--m", "1", "--poly", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed polynomial JSON")
+    assert err.endswith(": nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "name, body, size",
+    [
+        ("poly.txt", "x1^99999999999999999999\n", 10**20),
+        ("poly.json", '[{"e":[99999999999999999999,0,0],"c":"1"}]', 10**20),
+        ("poly.txt", "x1^2000000*x2 + x3\n", 2_000_002),
+    ],
+)
+def test_check_refuses_huge_exponents(tmp_path, capsys, name, body, size):
+    target = tmp_path / name
+    target.write_text(body)
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(
+            capsys, "check", "--m", "1", "--poly", str(target), "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: divisibility search needs at least {size} dense entries,"
+            " more than the limit of 1048576\n"
+        )
+
+
 def test_system_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "system", "--m", "1", "--d", "4")
     assert code == 0

@@ -1,6 +1,7 @@
 import random
 import re
 from collections import OrderedDict
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quasi3.group_ops import GroupAlgebraElement
 from quasi3.poly import (
     ALL_PERMS,
     IDENTITY,
@@ -268,10 +270,26 @@ def test_coefficient_lookup():
     assert p.coefficient((5, 5, 5)) == 0
 
 
-def test_sorted_terms_graded_lex_descending():
+def test_json_terms_graded_lex_descending():
     p = x3 + x1 + x2**2 + Polynomial.constant(7)
-    exps = [e for e, _ in p.sorted_terms()]
+    exps = [e for e, _ in p.json_terms()]
     assert exps == [(0, 2, 0), (1, 0, 0), (0, 0, 1), (0, 0, 0)]
+
+
+@pytest.mark.parametrize("value", [0.1, "1/3", Decimal("0.5"), True])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c: Polynomial({(1, 0, 0): c}),
+        lambda c: GroupAlgebraElement({(1, 2, 3): c}),
+        Polynomial.constant,
+    ],
+    ids=["Polynomial", "GroupAlgebraElement", "constant"],
+)
+def test_constructor_refuses_inexact_coefficients(build, value):
+    with pytest.raises(ValueError, match="is not an int or Fraction") as exc:
+        build(value)
+    assert repr(value) in str(exc.value)
 
 
 def test_compose_convention():

@@ -139,6 +139,20 @@ def test_difference_fixed_by_the_pair_reads_zero():
         assert by_pair[pair].divisible is False
 
 
+def test_group_entry_limit_is_checked_as_groups_are_made(monkeypatch):
+    # x1^3*x2 + x3: groups of 5, 4 and 2 entries for x1^3*x2, then 1, 2
+    # and 2 for x3, 16 in all
+    P = parse_poly("x1^3*x2 + x3")
+    monkeypatch.setattr(quasi, "MAX_GROUP_ENTRIES", 16)
+    assert not is_quasiinvariant(P, 1).is_quasiinvariant
+    monkeypatch.setattr(quasi, "MAX_GROUP_ENTRIES", 15)
+    with pytest.raises(ValueError) as exc:
+        is_quasiinvariant(P, 1)
+    assert str(exc.value) == (
+        "divisibility search needs at least 16 dense entries, more than the limit of 15"
+    )
+
+
 def test_quasiinvariants_form_a_ring():
     rng = random.Random(13)
     m = 1
