@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import basis, group_ops, linsys, paths, quasi
@@ -53,14 +53,10 @@ GOLDEN_BLOCKS_M3 = (
 GOLDEN_DIMS_M1 = [1, 1, 2, 3, 6, 9, 13, 18, 24, 31]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    index: int
-    title: str
-    passed: bool
-    detail: str
-    seconds: float
-    limit: float
+class CriterionResult(namedtuple("CriterionResult", "index title passed detail seconds limit")):
+    """One criterion's verdict, its wall time and its limit, in seconds."""
+
+    __slots__ = ()
 
     @property
     def within_limit(self) -> bool:

@@ -27,7 +27,7 @@ verification verdicts that were requested:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -138,25 +138,23 @@ def is_scalar_multiple(P: Polynomial, Q: Polynomial) -> bool:
     return all(num * q == p * Q.nums[e] for e, num in P.nums.items())
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    name: str
-    poly: Polynomial
-    degree: int
-    expected_degree: int
-    quasi: object  # QuasiReport, or None when not requested
-    s23_invariant: object  # bool, or None when not applicable/requested
+class BasisElement(namedtuple(
+    "BasisElement", "name poly degree expected_degree quasi s23_invariant"
+)):
+    """quasi is a QuasiReport, or None when not requested; s23_invariant a
+    bool, or None when not applicable or not requested."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BasisReport:
-    m: int
-    verify: str
-    elements: tuple  # six BasisElement entries, ELEMENT_NAMES order
-    null_vector_a1: tuple  # (labels, coefficients)
-    null_vector_a2: tuple
-    independence: dict  # check name -> bool, or None when skipped
-    coinvariant_det: object  # Fraction for m == 0 full checks, else None
+class BasisReport(namedtuple(
+    "BasisReport", "m verify elements null_vector_a1 null_vector_a2 independence coinvariant_det"
+)):
+    """Six BasisElement entries in ELEMENT_NAMES order; null vectors as
+    (labels, coefficients); independence: check name -> bool, None if skipped;
+    coinvariant_det: a Fraction for m == 0 full checks, else None."""
+
+    __slots__ = ()
 
     @property
     def degrees_ok(self) -> bool:

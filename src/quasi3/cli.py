@@ -14,7 +14,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring
 
@@ -199,7 +198,7 @@ def cmd_check(args) -> int:
             {
                 "m": report.m,
                 "is_quasiinvariant": report.is_quasiinvariant,
-                "checks": [asdict(c) for c in report.checks],
+                "checks": [c._asdict() for c in report.checks],
             }
         )
     else:
@@ -341,7 +340,7 @@ def cmd_paths(args) -> int:
 
 def _report_obj(report):
     """JSON object of a thm2 report; a thm1 report adds its two keys last."""
-    obj = asdict(report)
+    obj = report._asdict()
     obj["entries"] = _str_rows(report.entries)
     for key in ("det", "family_count", "prefactor"):
         if obj.get(key) is not None:

@@ -20,7 +20,7 @@ verified both at the element level and on sample polynomials.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .poly import (
@@ -155,13 +155,10 @@ def _verdicts(step, start, zero) -> dict:
     return {label: side(lhs) == side(rhs) for label, lhs, rhs in IDENTITIES}
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Element-level verdicts plus per-sample polynomial verdicts."""
+class IdentityReport(namedtuple("IdentityReport", "element_level sample_level passed")):
+    """Element-level verdicts, label -> bool, plus one such dict per sample."""
 
-    element_level: dict  # label -> bool
-    sample_level: tuple  # one dict per sample polynomial
-    passed: bool
+    __slots__ = ()
 
 
 def random_samples(seed: int, count: int) -> list:

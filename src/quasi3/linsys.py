@@ -31,7 +31,7 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd, prod
 
@@ -73,15 +73,11 @@ def system_rows(m: int):
     return tuple([(k, l) for k in range(m + 1) for l in range(2 * m - 1, 0, -2)])
 
 
-@dataclass(frozen=True)
-class CoeffSystem:
-    """An integer constraint matrix with labelled rows and columns."""
+class CoeffSystem(namedtuple("CoeffSystem", "m d rows cols entries")):
+    """An integer constraint matrix with labelled rows and columns: rows
+    ((k, l), ...), cols ((i, j), ...), entries a tuple of row tuples of ints."""
 
-    m: int
-    d: int
-    rows: tuple  # ((k, l), ...)
-    cols: tuple  # ((i, j), ...)
-    entries: tuple  # tuple of row tuples of ints
+    __slots__ = ()
 
     @property
     def shape(self):

@@ -28,7 +28,7 @@ The counting kernels live in _pypaths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from ._pypaths import dp_count, family_count
@@ -113,19 +113,15 @@ def thm2_instance_applicable(a, b, c, d, e, n) -> bool:
     return _entries_applicable(*thm2_endpoints(a, b, c, d, e, n))
 
 
-@dataclass(frozen=True)
-class Thm2Report:
-    params: dict
-    entries: tuple
-    det: int
-    starts: tuple
-    ends: tuple
-    barrier: int
-    applicable: bool
-    family_count: object = None  # int, or None when unchecked
-    checked: bool = False
-    equal: object = None  # bool, or None when unchecked
-    note: str = ""
+class Thm2Report(namedtuple(
+    "Thm2Report",
+    "params entries det starts ends barrier applicable family_count checked equal note",
+    defaults=(None, False, None, ""),
+)):
+    """family_count is an int and equal a bool, both None when unchecked;
+    note says why a family is unchecked."""
+
+    __slots__ = ()
 
 
 def _count_family(report, factor):
@@ -141,27 +137,22 @@ def _count_family(report, factor):
     an endpoint leaves the first quadrant.
     """
     if factor is None:
-        return replace(report, note="prefactor denominator vanishes")
+        return report._replace(note="prefactor denominator vanishes")
     starts, ends, L = report.starts, report.ends, report.barrier
     try:
         for point in starts + ends:
             _check_point(point)
     except ValueError as exc:
-        return replace(report, note=f"family endpoints unusable: {exc}")
+        return report._replace(note=f"family endpoints unusable: {exc}")
     product = guard_product(starts, ends, L)
     if product > ENUMERATION_BUDGET:
         note = f"{product} candidate tuples > {ENUMERATION_BUDGET}"
-        return replace(report, note=f"enumeration budget exceeded: {note}")
+        return report._replace(note=f"enumeration budget exceeded: {note}")
     try:
         count = family_count(starts, ends, L) if product else 0
     except RecursionError:
-        return replace(report, note="family walk deeper than the recursion limit")
-    return replace(
-        report,
-        family_count=count,
-        checked=True,
-        equal=(report.det == factor * count),
-    )
+        return report._replace(note="family walk deeper than the recursion limit")
+    return report._replace(family_count=count, checked=True, equal=report.det == factor * count)
 
 
 def _check_size(name, size):
@@ -225,12 +216,14 @@ def thm1_applicable(C, D, E, alpha, beta, k) -> bool:
     return _entries_applicable(*thm2_endpoints(*inner, k))
 
 
-@dataclass(frozen=True, kw_only=True)
-class Thm1Report(Thm2Report):
-    """A Thm2Report of the substituted family, plus thm1's own values."""
+class Thm1Report(namedtuple(
+    "Thm1Report", (*Thm2Report._fields, "prefactor", "inner_params"),
+    defaults=(*Thm2Report._field_defaults.values(), None, ()),
+)):
+    """A Thm2Report's fields for the substituted family, plus thm1's own
+    values: prefactor, a Fraction or None when undefined, and inner_params."""
 
-    prefactor: object  # Fraction, or None when undefined
-    inner_params: tuple
+    __slots__ = ()
 
 
 def verify_thm1(C, D, E, alpha, beta, k) -> Thm1Report:

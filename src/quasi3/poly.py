@@ -59,6 +59,11 @@ def _check_exponent(exp) -> Exponent:
     return exp
 
 
+def _is_exact(value) -> bool:
+    """An int but not a bool, or a Fraction: what a coefficient may be."""
+    return type(value) is int or isinstance(value, Fraction)
+
+
 class Combination:
     """Immutable sparse rational combination, integer-native: a positive
     common denominator den and a dict nums from keys to nonzero int
@@ -76,7 +81,7 @@ class Combination:
         coefficient, a float, str, Decimal or bool among them, is refused."""
         clean = {}
         for key, coeff in dict(terms or ()).items():
-            if type(coeff) is not int and not isinstance(coeff, Fraction):
+            if not _is_exact(coeff):
                 raise ValueError(f"coefficient {coeff!r} of {key!r} is not an int or Fraction")
             if coeff:
                 clean[self._check_key(key)] = coeff
@@ -152,7 +157,7 @@ class Combination:
 
     def __mul__(self, other):
         """Scaling by an int or Fraction; subclasses add their product."""
-        if isinstance(other, (int, Fraction)):
+        if _is_exact(other):
             num = other.numerator
             return self._reduced(
                 self.den * other.denominator, {k: v * num for k, v in self.nums.items()}
@@ -180,7 +185,7 @@ class Polynomial(Combination):
 
     @classmethod
     def _coerce(cls, value):
-        if isinstance(value, (int, Fraction)):
+        if _is_exact(value):
             return cls.constant(value)
         return super()._coerce(value)
 
@@ -270,9 +275,9 @@ class Polynomial(Combination):
         if not isinstance(obj, list):
             raise ValueError("polynomial JSON must be a list of terms")
         den, out, negative = 1, {}, False
-        for item in obj:
+        for index, item in enumerate(obj):
             if not isinstance(item, dict) or item.keys() != _TERM_KEYS:
-                raise ValueError(f"bad term object: {item!r}")
+                raise ValueError(f"bad term object: {_term_repr(index, item)}")
             e, c = item["e"], item["c"]
             # JSON true/false load as bool, a subclass of int
             if not (
@@ -281,7 +286,9 @@ class Polynomial(Combination):
                 and type(e[0]) is type(e[1]) is type(e[2]) is int
                 and isinstance(c, str)
             ):
-                raise ValueError(f'term needs three integers "e" and a string "c": {item!r}')
+                raise ValueError(
+                    f'term needs three integers "e" and a string "c": {_term_repr(index, item)}'
+                )
             m = _RATIONAL_RE.match(c)
             if m is None:
                 raise ValueError(f"not an exact rational: {c.strip()!r}")
@@ -309,8 +316,18 @@ class Polynomial(Combination):
 
 
 _TERM_KEYS = frozenset(("e", "c"))
+# Longest repr of a bad JSON term an error message shows in full
+TERM_REPR_CAP = 100
 # "num" or "num/den" between whitespace; no underscores, floats or signed den
 _RATIONAL_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*\Z")
+
+
+def _term_repr(index, item) -> str:
+    """repr(item), or its first TERM_REPR_CAP characters and the term's index."""
+    text = repr(item)
+    if len(text) > TERM_REPR_CAP:
+        text = f"{text[:TERM_REPR_CAP]}... (term {index}, {len(text)} characters)"
+    return text
 
 
 def _widened(den: int, d: int, nums: dict):

@@ -44,8 +44,7 @@ it, and independent_modulo_ideal on the certificate.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from itertools import accumulate, permutations
 from math import comb
@@ -122,19 +121,19 @@ def _dividing_powers(nums):
     return powers
 
 
-@dataclass(frozen=True)
-class TranspositionCheck:
-    pair: tuple  # (i, j)
-    difference_zero: bool
-    largest_power: object  # int, or None when the difference vanishes
-    required_power: int
-    divisible: bool
+class TranspositionCheck(namedtuple(
+    "TranspositionCheck", "pair difference_zero largest_power required_power divisible"
+)):
+    """One pair's verdict: pair is (i, j); largest_power is an int, or
+    None when the difference vanishes."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuasiReport:
-    m: int
-    checks: tuple  # three TranspositionCheck entries
+class QuasiReport(namedtuple("QuasiReport", "m checks")):
+    """checks holds three TranspositionCheck entries, TRANSPOSITIONS order."""
+
+    __slots__ = ()
 
     @property
     def is_quasiinvariant(self) -> bool:

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -184,7 +183,7 @@ def _patched_rows(edit):
         sys = build_system(m, d)
         rows = [list(row) for row in sys.entries]
         edit(m, rows)
-        return replace(sys, entries=tuple(map(tuple, rows)))
+        return sys._replace(entries=tuple(map(tuple, rows)))
 
     return patched
 

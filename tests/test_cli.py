@@ -16,7 +16,7 @@ import quasi3
 from quasi3 import acceptance, basis, cli, group_ops
 from quasi3.cli import build_parser, main
 from quasi3.linsys import extract_blocks
-from quasi3.poly import Polynomial, parse_poly
+from quasi3.poly import TERM_REPR_CAP, Polynomial, parse_poly
 from test_linsys import det_bareiss
 
 GOLDEN_A1_M1 = "x1^4 - 2*x1^3*x2 - 2*x1^3*x3 + 6*x1^2*x2*x3"
@@ -167,6 +167,27 @@ def test_check_deeply_nested_json_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "body, shown",
+    [
+        ("[" * 800 + "]" * 800, "bad term object: [[[["),
+        ("[[" + ", ".join(["0"] * 5000) + "]]", "bad term object: [0, 0, "),
+        ('[{"e": [' + ", ".join(["0"] * 5000) + '], "c": "1"}]', "term needs three"),
+    ],
+    ids=["deep", "long-list", "long-e"],
+)
+def test_check_long_bad_json_term_is_one_capped_line(tmp_path, capsys, body, shown):
+    target = tmp_path / "poly.json"
+    target.write_text(body)
+    code, out, err = run_cli(capsys, "check", "--m", "1", "--poly", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + shown)
+    assert err.count("\n") == 1
+    assert " (term 0, " in err
+    assert len(err) < 2 * TERM_REPR_CAP
+
+
+@pytest.mark.parametrize(
     "name, body, size",
     [
         ("poly.txt", "x1^99999999999999999999\n", 10**20),
@@ -274,6 +295,10 @@ def test_identity_thm1_json(capsys):
     )
     assert code == 0
     obj = json.loads(out)
+    assert list(obj) == [
+        "params", "entries", "det", "starts", "ends", "barrier", "applicable",
+        "family_count", "checked", "equal", "note", "prefactor", "inner_params",
+    ]
     assert obj["det"] == "2352"
     assert obj["prefactor"] == "1176"
     assert obj["family_count"] == "2"
@@ -830,6 +855,25 @@ def test_module_runs_as_a_process():
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert bad.stderr.startswith("error:")
+
+
+def test_startup_imports_no_dataclasses_inspect_or_typing():
+    """The benchmark's set-up probe in an interpreter without site hooks,
+    which can import these modules themselves."""
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import quasi3, quasi3.cli\n"
+        "quasi3.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))\n"
+    )
+    src = str(Path(quasi3.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, src],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script_installed():

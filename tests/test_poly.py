@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from collections import OrderedDict
@@ -290,6 +291,21 @@ def test_constructor_refuses_inexact_coefficients(build, value):
     with pytest.raises(ValueError, match="is not an int or Fraction") as exc:
         build(value)
     assert repr(value) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "op", [operator.mul, operator.add, operator.sub], ids=["mul", "add", "sub"]
+)
+@pytest.mark.parametrize(
+    "element", [x1, GroupAlgebraElement.one()], ids=["Polynomial", "GroupAlgebraElement"]
+)
+def test_bool_is_not_a_scalar(op, element):
+    for left, right in ((element, True), (False, element)):
+        with pytest.raises(TypeError):
+            op(left, right)
+    assert (element == True) is False  # noqa: E712
+    assert (Polynomial.constant(1) == True) is False  # noqa: E712
+    assert Polynomial.constant(1) == 1
 
 
 def test_compose_convention():
