@@ -16,13 +16,13 @@ verification verdicts that were requested:
   A1 and A2.
 * "full": plus linear independence modulo the ideal part (only for
   m <= IDEAL_BUDGET), and for m = 0 the coinvariant determinant
-  certificate.  All three verdicts come from
-  quasi.free_module_certificate: the six elements span a free module
-  over the symmetric polynomials, which fills QI_m below degree 3m+2,
-  and no antisymmetric quasiinvariant lies in the three degrees below
-  6m+3.  It solves no ideal part; quasi.independent_modulo_ideal, which
-  solves the ideal part on the full graded slices, stays as the
-  cross-check in selftest criterion 6 for all three.
+  certificate.  All three verdicts come from quasi.certify_free_module,
+  given the element reports: the six elements span a free module over
+  the symmetric polynomials, which fills QI_m below degree 3m+2, and no
+  antisymmetric quasiinvariant lies in the three degrees below 6m+3.
+  It solves no ideal part; quasi.independent_modulo_ideal, which solves
+  the ideal part on the full graded slices, stays as the cross-check in
+  selftest criterion 6 for all three.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .arith import integer_scaled
 from .linsys import _eliminate, build_system, det_exact
 from .poly import Polynomial, S12, S23, elementary, vandermonde_power
 from .quasi import (
+    certify_free_module,
     coinvariant_nf,
-    free_module_certificate,
     is_quasiinvariant,
     quotient_degrees,
 )
@@ -239,7 +239,7 @@ def build_basis(m: int, verify: str = "full") -> BasisReport:
     }
     coinv_det = None
     if verify == "full" and m <= IDEAL_BUDGET:
-        pairs, delta = free_module_certificate(polys, m)
+        pairs, delta = certify_free_module(polys, m, [e.quasi for e in elements])
         independence["pair_degree_3m+1"] = independence["pair_degree_3m+2"] = pairs
         independence["delta_power"] = delta
         if m == 0:

@@ -54,13 +54,7 @@ def _write_json(obj, out, lead, indent):
             return
         inner = indent + "  "
         sep = lead + "{" + inner
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                if not (key is None or isinstance(key, (int, float))):
-                    raise TypeError(
-                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-                    )
-                key = _encode_scalar(key)
+        for key, value in obj.items():  # str only: encode_basestring rejects others
             _write_json(value, out, sep + encode_basestring(key) + ": ", inner)
             sep = "," + inner
         out.append(indent + "}")

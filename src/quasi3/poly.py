@@ -344,11 +344,6 @@ def elementary(k: int) -> Polynomial:
     return Polynomial(dict.fromkeys(permutations((1,) * k + (0,) * (3 - k)), 1))
 
 
-def vandermonde() -> Polynomial:
-    """(x1 - x2)(x1 - x3)(x2 - x3)."""
-    return vandermonde_power(1)
-
-
 def vandermonde_power(p: int) -> Polynomial:
     """Delta^p as the product of the binomial expansions of (x_i - x_j)^p."""
     if not isinstance(p, int) or p < 0:

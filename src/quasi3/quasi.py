@@ -457,6 +457,12 @@ def free_module_certificate(elements, m: int):
     slices and shares no system with (b) or (c), is the one independent
     check.
     """
+    # lazy: a misplaced element ends the check before any search
+    return certify_free_module(elements, m, (is_quasiinvariant(P, m) for P in elements))
+
+
+def certify_free_module(elements, m: int, reports):
+    """free_module_certificate, given each element's QuasiReport in order."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if len(elements) != 6:
@@ -470,7 +476,7 @@ def free_module_certificate(elements, m: int):
     series = qi_dimension_series(m, top)
     pairs = (
         all(placed)
-        and all(is_quasiinvariant(P, m).is_quasiinvariant for P in elements)
+        and all(report.is_quasiinvariant for report in reports)
         and det_exact([_values_at(P, points) for P in elements]) != 0
         and all(qi_dimension(m, e) <= series[e] for e in range(top + 1))
     )

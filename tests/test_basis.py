@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasi3 import acceptance, basis, linsys
+from quasi3 import acceptance, basis, linsys, quasi
 from quasi3.acceptance import GOLDEN_A1_M2, GOLDEN_A2_M2
 from quasi3.basis import (
     ELEMENT_NAMES,
@@ -167,6 +167,37 @@ def test_build_basis_m3_full_certifies_independence():
         "pair_degree_3m+2": True,
         "delta_power": True,
     }
+
+
+def counted_quasi_checks(monkeypatch):
+    calls = []
+
+    def counting(P, m):
+        calls.append(m)
+        return is_quasiinvariant(P, m)
+
+    for module in (basis, quasi):
+        monkeypatch.setattr(module, "is_quasiinvariant", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_build_basis_full_checks_each_element_once(monkeypatch, m):
+    calls = counted_quasi_checks(monkeypatch)
+    assert build_basis(m, verify="full").passed
+    assert calls == [m] * 6
+
+
+def test_free_module_certificate_checks_its_own_premise(monkeypatch):
+    b = [e.poly for e in build_basis(1, verify="degrees").elements]
+    calls = counted_quasi_checks(monkeypatch)
+    assert quasi.free_module_certificate(b, 1) == (True, True)
+    assert calls == [1] * 6
+    # a misplaced element ends the check before any divisibility search
+    calls.clear()
+    b[0] = b[1]
+    assert quasi.free_module_certificate(b, 1) == (None, True)
+    assert calls == []
 
 
 def test_build_basis_rejects_bad_input():

@@ -8,10 +8,14 @@ _pypaths.family_count directly, so paths.count_families_bruteforce is
 gone, and is_quasiinvariant is the one public divisibility search, so
 quasi.largest_dividing_power is gone); ROADMAP item 1 (benchmark upkeep)
 drops or retargets them.
+perfbench/smoke.py breaks functions through patched_everywhere(module,
+name, ...), which unpacks tracer.resolve and so fails with a TypeError
+on a vanished name.
 perfbench/run.py's set-up probe imports the CLI and builds its parser,
 so a rename there would only fail the benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import subprocess
@@ -43,6 +47,26 @@ def test_every_trace_target_resolves():
         importlib.import_module(module)
     dead = {name for name, module, path in entries if tracer.resolve(module, path) is None}
     assert dead == KNOWN_DEAD
+
+
+def smoke_patch_targets():
+    """(module, name) of every patched_everywhere call in perfbench/smoke.py."""
+    tree = ast.parse((PERFBENCH / "smoke.py").read_text())
+    return [
+        (node.args[0].value, node.args[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "patched_everywhere"
+    ]
+
+
+def test_every_smoke_patch_target_resolves():
+    tracer = load_perfbench("tracer")
+    targets = smoke_patch_targets()
+    assert targets  # the smoke test still breaks something on purpose
+    for module, name in targets:
+        importlib.import_module(module)
+        assert tracer.resolve(module, name) is not None, f"{module}.{name}"
 
 
 def test_setup_probe_prints_one_float():
