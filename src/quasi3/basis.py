@@ -34,7 +34,7 @@ from operator import mul
 
 from .arith import integer_scaled
 from .linsys import _eliminate, build_system, det_exact
-from .poly import Polynomial, S12, S23, elementary, vandermonde_power
+from .poly import Polynomial, S12, S23, vandermonde_power
 from .quasi import (
     certify_free_module,
     coinvariant_nf,
@@ -128,16 +128,6 @@ def assemble_ansatz(d: int, labels, vec) -> Polynomial:
     return Polynomial._reduced(den, terms)
 
 
-def is_scalar_multiple(P: Polynomial, Q: Polynomial) -> bool:
-    """True when P == c Q for some rational c (including c == 0)."""
-    if P.is_zero() or Q.is_zero() or P.nums.keys() != Q.nums.keys():
-        return P.is_zero()
-    # P = c Q, c = (p / P.den) / (q / Q.den): cross-multiplied, the dens cancel
-    exp = next(iter(Q.nums))
-    p, q = P.nums[exp], Q.nums[exp]
-    return all(num * q == p * Q.nums[e] for e, num in P.nums.items())
-
-
 class BasisElement(namedtuple(
     "BasisElement", "name poly degree expected_degree quasi s23_invariant"
 )):
@@ -202,8 +192,8 @@ def build_basis(m: int, verify: str = "full") -> BasisReport:
     labels2, vec2 = ansatz_coefficients(m, 3 * m + 2)
     A1 = assemble_ansatz(3 * m + 1, labels1, vec1)
     A2 = assemble_ansatz(3 * m + 2, labels2, vec2)
-    if is_scalar_multiple(A2, elementary(1) * A1):
-        raise DegenerateSystemError(f"A2 for m={m} is a scalar multiple of e1*A1")
+    # A2 is never a multiple of e1*A1: A2's x2, x3 exponents are <= m, and
+    # e1*A1 has x1^(m+1) x2^(m+1) x3^m with coefficient C1[m, m] != 0
     delta_power = vandermonde_power(2 * m + 1)
     polys = (
         Polynomial.constant(1),

@@ -12,7 +12,6 @@ from quasi3.basis import (
     ansatz_coefficients,
     assemble_ansatz,
     build_basis,
-    is_scalar_multiple,
     poly_to_latex,
 )
 from quasi3.linsys import MAX_ORDER, build_system, rank
@@ -73,25 +72,18 @@ def test_ansatz_exponent_shape():
                 assert e1 >= d - 2 * m
 
 
-def test_is_scalar_multiple():
-    p = parse_poly("2*x1 - 4*x2")
-    assert is_scalar_multiple(p * Fraction(3, 7), p)
-    assert is_scalar_multiple(Polynomial.zero(), p)
-    assert not is_scalar_multiple(p, Polynomial.zero())
-    assert not is_scalar_multiple(p, parse_poly("2*x1 - 3*x2"))
-    assert not is_scalar_multiple(p, parse_poly("2*x1"))
-
-
 def test_A2_is_not_a_multiple_of_e1_A1():
-    for m in (0, 1, 2, 3):
+    # why build_basis needs no guard against A2 == c e1*A1
+    for m in range(9):
         by_name = built(m)
         A1, A2 = by_name["A1"], by_name["A2"]
-        prod = elementary(1) * A1
-        assert not is_scalar_multiple(A2, prod)
-        # and the structural reason: e1*A1 carries an x2 power above m
-        if m:
-            assert prod.coefficient((m + 1, m + 1, m)) != 0
-            assert A2.coefficient((m + 1, m + 1, m)) == 0
+        assert all(e2 <= m and e3 <= m for _, e2, e3 in A2.nums)
+        # at m = 0 the x1*x2 term
+        assert (elementary(1) * A1).coefficient((m + 1, m + 1, m)) != 0
+        # the premise: back-substitution keeps C[m, m] nonzero
+        for d in (3 * m + 1, 3 * m + 2):
+            labels, vec = ansatz_coefficients(m, d)
+            assert vec[labels.index((m, m))] != 0
 
 
 def test_pair_spans_two_dimensions():

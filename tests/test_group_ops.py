@@ -12,14 +12,7 @@ from quasi3.group_ops import (
     verify_identities,
 )
 from quasi3.poly import ALL_PERMS, IDENTITY, S12, S13, S23, Polynomial, compose
-
-
-def random_poly(rng):
-    terms = {}
-    for _ in range(rng.randint(1, 8)):
-        exp = tuple(rng.randint(0, 5) for _ in range(3))
-        terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return Polynomial(terms)
+from test_poly import random_poly
 
 
 def test_symmetrizer_fixes_everything():

@@ -223,17 +223,6 @@ def test_det_exact_matches_bareiss_on_restricted_systems():
             assert det_exact(entries) == det_bareiss(entries)
 
 
-def test_det_exact_against_leibniz():
-    rng = random.Random(17)
-    for n in (1, 2, 3, 4):
-        for _ in range(8):
-            entries = [
-                [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
-                for _ in range(n)
-            ]
-            assert det_exact(entries) == det_by_permanent_expansion(entries)
-
-
 def test_det_exact_edge_cases():
     assert det_exact([]) == 1
     assert det_exact([[5]]) == 5
