@@ -1,9 +1,10 @@
 """Command line interface.
 
-Exit codes: 0 success (all requested verdicts passing; a path family
-too large or too deep to enumerate reports as unchecked), 1 a
-mathematical verdict failed, 2 usage or input errors.  All output is
-deterministic for a fixed argument list and seed.
+Exit codes: 0 success (all requested verdicts passing; a family of two
+or more paths too large or too deep to enumerate reports as unchecked,
+while a single path is always counted), 1 a mathematical verdict
+failed, 2 usage or input errors.  All output is deterministic for a
+fixed argument list and seed.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -21,6 +23,11 @@ from . import acceptance, basis, group_ops, linsys, paths, quasi
 from .poly import Polynomial, parse_poly
 
 OK, MATH_FAIL, USAGE = 0, 1, 2
+# A polynomial JSON file nested deeper than this is refused as nested too
+# deeply.  A term needs depth 3; the limit sits far below the interpreter's
+# recursion limit, so a file within it reads the same from any caller whose
+# stack is not already near that limit
+JSON_DEPTH_LIMIT = 100
 
 
 # json.dumps with indent encodes in pure Python; this writer makes the
@@ -111,13 +118,30 @@ def _read_poly_file(path: str) -> Polynomial:
         raise ValueError(f"polynomial file {path!r} is empty")
     if stripped.startswith("["):
         try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed polynomial JSON in {path!r}: {exc}")
-        except RecursionError:
-            raise ValueError(f"malformed polynomial JSON in {path!r}: nested too deeply")
-        return Polynomial.from_json_obj(obj)
+            return Polynomial.from_json_obj(json.loads(stripped))
+        except (RecursionError, ValueError) as exc:
+            if isinstance(exc, ValueError) and not _nested_too_deeply(stripped):
+                if isinstance(exc, json.JSONDecodeError):
+                    raise ValueError(f"malformed polynomial JSON in {path!r}: {exc}") from None
+                raise
+        raise ValueError(f"malformed polynomial JSON in {path!r}: nested too deeply")
     return parse_poly(stripped)
+
+
+def _nested_too_deeply(text: str) -> bool:
+    """Whether JSON text nests [ and { deeper than JSON_DEPTH_LIMIT outside
+    its strings.  Counted in a loop, so the answer, unlike json.loads and
+    repr, does not depend on the caller's stack depth; run only once
+    reading has failed."""
+    depth = 0
+    for ch in re.sub(r'"(?:[^"\\]|\\.)*"', "", text):
+        if ch in "[{":
+            depth += 1
+            if depth > JSON_DEPTH_LIMIT:
+                return True
+        elif ch in "]}":
+            depth -= 1
+    return False
 
 
 def _print_blocks(blocks, dets=None):

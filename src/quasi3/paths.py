@@ -13,7 +13,9 @@ Three routes to the same numbers, kept deliberately separate:
 * _pypaths.family_count: exhaustive enumeration of pairwise
   vertex-disjoint path tuples.  _count_family runs it only when the
   product of the single-path counts (guard_product) is at most the
-  fixed ENUMERATION_BUDGET.
+  fixed ENUMERATION_BUDGET, and only on families of two or more paths:
+  a one-path family's count is its guard_product, the DP count, so its
+  identity compares the closed form (the 1x1 det) with the DP.
 
 verify_thm2 checks det[ binom(a+bi, c+dj) - binom(a+bi, e-dj) ] against
 the family count for starts (c+dj, c+dj), ends (0, a+bi), barrier c+e;
@@ -130,11 +132,14 @@ def _count_family(report, factor):
     The one place that decides whether a family is counted.  A report is
     left unchecked, with a note saying why, at the first of these, tried
     in order: no factor (thm1's prefactor denominator vanishes), unusable
-    endpoints, a guard_product over ENUMERATION_BUDGET, a walk deeper
-    than the recursion limit.  A guard_product of 0 is a checked 0, with
-    no walk.  Writes only note, family_count, checked and equal; never
-    applicable, which formula_applicable already makes False wherever
-    an endpoint leaves the first quadrant.
+    endpoints, a guard_product over ENUMERATION_BUDGET, and, for two or
+    more paths only, a walk deeper than the recursion limit.  A one-path
+    family is counted by its guard_product, which is that path's
+    dp_count, and a guard_product of 0 is a checked 0: neither walks,
+    so neither depends on the caller's stack depth.  Writes only note,
+    family_count, checked and equal; never applicable, which
+    formula_applicable already makes False wherever an endpoint leaves
+    the first quadrant.
     """
     if factor is None:
         return report._replace(note="prefactor denominator vanishes")
@@ -148,10 +153,13 @@ def _count_family(report, factor):
     if product > ENUMERATION_BUDGET:
         note = f"{product} candidate tuples > {ENUMERATION_BUDGET}"
         return report._replace(note=f"enumeration budget exceeded: {note}")
-    try:
-        count = family_count(starts, ends, L) if product else 0
-    except RecursionError:
-        return report._replace(note="family walk deeper than the recursion limit")
+    if len(starts) == 1 or not product:
+        count = product
+    else:
+        try:
+            count = family_count(starts, ends, L)
+        except RecursionError:
+            return report._replace(note="family walk deeper than the recursion limit")
     return report._replace(family_count=count, checked=True, equal=report.det == factor * count)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import quasi3
 from quasi3 import acceptance, basis, cli, group_ops
-from quasi3.cli import build_parser, main
+from quasi3.cli import JSON_DEPTH_LIMIT, build_parser, main
 from quasi3.linsys import extract_blocks
 from quasi3.poly import TERM_REPR_CAP, Polynomial, parse_poly
 from test_linsys import det_bareiss
@@ -156,20 +156,30 @@ def test_check_malformed_json_term_is_usage_error(tmp_path, capsys, body):
     assert err.startswith("error:")
 
 
+def under_frames(frames, call):
+    """call() run beneath that many extra stack frames."""
+    return call() if frames == 0 else under_frames(frames - 1, call)
+
+
 def test_check_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    # the same message at any caller stack depth: the nesting is counted
+    # in a loop against a fixed limit, not met as a RecursionError
     target = tmp_path / "poly.json"
-    target.write_text("[" * 100_000 + "]" * 100_000)
-    code, out, err = run_cli(capsys, "check", "--m", "1", "--poly", str(target))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: malformed polynomial JSON")
-    assert err.endswith(": nested too deeply\n")
+    argv = ("check", "--m", "1", "--poly", str(target))
+    for depth in (JSON_DEPTH_LIMIT + 1, 500, 980, 100_000):
+        target.write_text("[" * depth + "]" * depth)
+        for frames in (0, 100):
+            code, out, err = under_frames(frames, lambda: run_cli(capsys, *argv))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: malformed polynomial JSON")
+            assert err.endswith(": nested too deeply\n")
 
 
 @pytest.mark.parametrize(
     "body, shown",
     [
-        ("[" * 800 + "]" * 800, "bad term object: [[[["),
+        ("[" * JSON_DEPTH_LIMIT + "]" * JSON_DEPTH_LIMIT, "bad term object: [[[["),
         ("[[" + ", ".join(["0"] * 5000) + "]]", "bad term object: [0, 0, "),
         ('[{"e": [' + ", ".join(["0"] * 5000) + '], "c": "1"}]', "term needs three"),
     ],
@@ -315,6 +325,21 @@ def test_identity_thm1_vanishing_prefactor_is_unchecked(capsys):
     assert out.splitlines()[-1] == (
         "family count: unchecked (prefactor denominator vanishes)"
     )
+
+
+def test_identity_thm2_single_long_path_is_counted(capsys):
+    # 1001 lattice steps, deeper than the recursion limit for a family walk:
+    # one path is counted by its DP instead
+    argv = ("identity", "thm2", "--params", "1000,1,999,1,10000,1")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "family count: 1001" in out.splitlines()
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["family_count"] == "1001"
+    assert obj["checked"] is True
+    assert obj["equal"] is True
 
 
 def test_identity_thm2_inapplicable_mismatch_exits_one(capsys):

@@ -236,9 +236,16 @@ def test_budget_exceeded_is_distinct_from_zero():
     assert zero.family_count == 0
     assert zero.note == ""
 
+    # one path is counted by its guard product alone; two paths are walked
     with mock.patch.object(paths, "family_count", wraps=_pypaths.family_count) as spy:
+        single = verify_thm2(3, 2, 1, 1, 8, 1)
+        assert spy.call_count == 0
         within = verify_thm2(4, 1, 1, 1, 6, 2)
-    assert spy.call_count == 1
+        assert spy.call_count == 1
+    assert single.checked and single.equal
+    assert single.family_count == paths.guard_product(
+        single.starts, single.ends, single.barrier
+    )
     assert within.checked and within.equal
 
 
@@ -273,14 +280,29 @@ def test_verify_thm2_budget_note():
 
 
 def test_verify_thm2_too_deep_to_walk_is_unchecked():
-    # one path of 1001 WEST steps: guard product 1, but the recursive walk
-    # goes deeper than the default recursion limit
-    report = verify_thm2(1, 1000, 1, 1000, 1, 1)
+    # two paths of 501 and 502 steps: guard product 251502, within the
+    # budget, but the recursive walk goes deeper than the recursion limit
+    report = verify_thm2(500, 1, 499, 1, 505, 2)
     assert report.applicable
+    assert paths.guard_product(report.starts, report.ends, report.barrier) == 251502
     assert not report.checked
     assert report.family_count is None
     assert report.equal is None
     assert "recursion" in report.note
+
+
+@pytest.mark.parametrize(
+    "params, count",
+    [((1, 1000, 1, 1000, 1, 1), 1), ((1000, 1, 999, 1, 10000, 1), 1001)],
+    ids=["1001-west-steps", "1000-west-1-north"],
+)
+def test_verify_thm2_single_long_path_is_counted(params, count):
+    # one path longer than the recursion limit: its DP is its family count
+    report = verify_thm2(*params)
+    assert report.applicable
+    assert report.checked and report.equal
+    assert report.family_count == report.det == count
+    assert report.note == ""
 
 
 def test_thm1_inner_params_give_the_family_instance():
